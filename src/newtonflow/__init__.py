@@ -6,7 +6,7 @@ coercive functions, Hadamard-Levy growth bounds, coercivity of f, sphere
 criteria) by structured, seeded numerical sampling.
 """
 
-from .linalg import LuFactors, SingularError, det, inverse_norm, lu_decompose, solve
+from .linalg import SingularError, inverse_norm
 from .maps import (
     C1Map,
     DomainError,
@@ -53,7 +53,7 @@ from .basin import BasinGrid, export_grid, injectivity_probe, load_grid_records,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LuFactors", "SingularError", "det", "inverse_norm", "lu_decompose", "solve",
+    "SingularError", "inverse_norm",
     "C1Map", "DomainError", "NonFiniteError", "UnknownMapError", "builtin",
     "fd_jacobian_check", "list_maps",
     "Direction", "FlowFailure", "FlowOptions", "FlowStatus", "Trajectory",

@@ -27,7 +27,6 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import linalg
 from .flow import newton_field
@@ -38,6 +37,10 @@ POINT_SLACK = 1e-9            # numeric slack for pointwise inequalities
 TREND_GROWTH_MARGIN = 0.05    # relative sup growth between inner/outer shells
 FLATTEN_RATIO = 0.05          # late/early increment ratio that flags saturation
 SMOOTHING_RADIUS = 1.0        # quadratic cap radius for aux_hadamard
+
+# Per-sample failures: the sample is skipped (or, for bounds on ||f'^{-1}||,
+# scored +inf) and the check goes on.
+_SAMPLE_ERRORS = (SingularError, NonFiniteError, DomainError, OverflowError)
 
 
 class Verdict(str, Enum):
@@ -112,10 +115,15 @@ class GridSampler:
         return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-@dataclass(frozen=True)
-class BallSampler:
-    """Uniform samples in the ball ||x|| <= radius, reproducible by seed."""
+def _unit_directions(rng, count: int, dim: int) -> np.ndarray:
+    """``count`` seeded uniform unit vectors in R^dim, one per row."""
+    d = rng.standard_normal((count, dim))
+    d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
+    return d
 
+
+@dataclass(frozen=True)
+class _RadialSampler:
     radius: float
     count: int
     seed: int = 0
@@ -126,42 +134,42 @@ class BallSampler:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
+
+class BallSampler(_RadialSampler):
+    """Uniform samples in the ball ||x|| <= radius, reproducible by seed."""
+
     def points(self, dim: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        d = rng.standard_normal((self.count, dim))
-        d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
+        d = _unit_directions(rng, self.count, dim)
         r = self.radius * rng.random(self.count) ** (1.0 / dim)
         return d * r[:, None]
 
 
-@dataclass(frozen=True)
-class SphereSampler:
+class SphereSampler(_RadialSampler):
     """Uniform samples on the sphere ||x|| = radius, reproducible by seed."""
-
-    radius: float
-    count: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
 
     def points(self, dim: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        d = rng.standard_normal((self.count, dim))
-        d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
-        return self.radius * d
+        return self.radius * _unit_directions(rng, self.count, dim)
 
 
 def _sphere_points(dim: int, radius: float, count: int, rng) -> np.ndarray:
-    d = rng.standard_normal((count, dim))
-    d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
+    d = _unit_directions(rng, count, dim)
     if dim == 1:
         # random signs only; make both boundary points present
         d = np.concatenate([d, [[1.0], [-1.0]]])
     return radius * d
+
+
+def _quad_inverse(omega, lo: float, hi: float, limit: int) -> float:
+    """Integral of 1/omega over [lo, hi] by adaptive quadrature.
+
+    scipy is imported here, on first use, so that importing the package and
+    every check that does not integrate 1/omega need only numpy.
+    """
+    from scipy.integrate import quad
+
+    return quad(lambda s: 1.0 / omega(s), lo, hi, limit=limit)[0]
 
 
 # --- auxiliary coercive functions -------------------------------------------
@@ -265,7 +273,7 @@ def aux_hadamard(omega: Callable[[float], float], rho0: float = SMOOTHING_RADIUS
             raise ValueError(f"omega must be positive and finite (omega({s}) = {w})")
 
     def _integral(lo, hi):
-        val, err = quad(lambda s: 1.0 / omega(s), lo, hi, limit=200)
+        val = _quad_inverse(omega, lo, hi, 200)
         if not math.isfinite(val):
             raise ValueError("quadrature failure in aux_hadamard")
         return val
@@ -315,7 +323,7 @@ def _k_safe(aux: AuxFunction, x) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             v = float(aux.k(x))
-        except (NonFiniteError, DomainError, OverflowError):
+        except _SAMPLE_ERRORS:
             return math.inf
     return v if math.isfinite(v) else math.inf
 
@@ -384,6 +392,37 @@ def _growth_trend(radii: np.ndarray, values: np.ndarray) -> tuple[Optional[bool]
 # --- criterion checks -------------------------------------------------------
 
 
+def _sup_verdict(criterion: str, k: AuxFunction, dim: int, co_seed: int, seed,
+                 radii: list, vals: list, sup: float, witness, skipped: int,
+                 **extra_stats) -> Certificate:
+    """Grade a sampled sup of D+ k: coercivity evidence for k, growth trend, verdict.
+
+    Satisfied needs positive coercivity evidence and a sup that does not grow
+    from the inner to the outer radius shells; a decreasing coercivity profile
+    is a violation with its own witness.
+    """
+    if not vals:
+        return Certificate(criterion, Verdict.INCONCLUSIVE, None, None, None,
+                           0, skipped, seed, {"reason": "no valid samples"})
+    co_status, co_witness, co_details = coercivity_evidence(k, dim, seed=co_seed)
+    trend_ok, trend = _growth_trend(np.array(radii), np.array(vals))
+    stats = {"sup": sup, **extra_stats, "trend": trend, "coercivity": co_status,
+             "coercivity_details": co_details}
+    if co_status == "decreasing":
+        verdict, witness = Verdict.VIOLATED, co_witness
+    elif co_status in ("flattening", "undecided") or not trend_ok:
+        verdict = Verdict.INCONCLUSIVE
+    else:
+        verdict = Verdict.SATISFIED
+    return Certificate(criterion, verdict, sup, witness, None, len(vals), skipped,
+                       seed, stats)
+
+
+def _non_finite_derivative(criterion: str, x, used: int, skipped: int, seed) -> Certificate:
+    return Certificate(criterion, Verdict.VIOLATED, math.inf, np.asarray(x, dtype=float),
+                       None, used, skipped, seed, {"reason": "non-finite derivative"})
+
+
 def check_theorem21(m: C1Map, x0, k: AuxFunction, sampler, seed: int | None = None) -> Certificate:
     """Sampled sup of D+_{F(x)} k(x) along the Newton field toward f(x0).
 
@@ -403,43 +442,21 @@ def check_theorem21(m: C1Map, x0, k: AuxFunction, sampler, seed: int | None = No
     for x in pts:
         try:
             f_vec = newton_field(m, x, f0)
-        except SingularError:
-            skipped += 1
-            continue
-        except (NonFiniteError, DomainError):
+        except _SAMPLE_ERRORS:
             skipped += 1
             continue
         if not np.any(f_vec):
             continue  # at the equilibrium the field vanishes: D+ undefined
         val = dplus(k, x, f_vec)
         if not math.isfinite(val):
-            return Certificate(
-                "thm21", Verdict.VIOLATED, math.inf, np.asarray(x, dtype=float), None,
-                len(vals) + 1, skipped, seed, {"reason": "non-finite derivative"},
-            )
+            return _non_finite_derivative("thm21", x, len(vals) + 1, skipped, seed)
         radii.append(float(np.linalg.norm(x)))
         vals.append(val)
         if val > sup:
             sup = val
             witness = np.asarray(x, dtype=float)
-
-    if not vals:
-        return Certificate("thm21", Verdict.INCONCLUSIVE, None, None, None,
-                           0, skipped, seed, {"reason": "no valid samples"})
-
-    co_status, co_witness, co_details = coercivity_evidence(k, m.dim, seed=seed or 0)
-    trend_ok, trend = _growth_trend(np.array(radii), np.array(vals))
-    stats = {"sup": sup, "trend": trend, "coercivity": co_status,
-             "coercivity_details": co_details}
-
-    if co_status == "decreasing":
-        return Certificate("thm21", Verdict.VIOLATED, sup, co_witness, None,
-                           len(vals), skipped, seed, stats)
-    if co_status in ("flattening", "undecided") or trend_ok is None or not trend_ok:
-        return Certificate("thm21", Verdict.INCONCLUSIVE, sup, witness, None,
-                           len(vals), skipped, seed, stats)
-    return Certificate("thm21", Verdict.SATISFIED, sup, witness, None,
-                       len(vals), skipped, seed, stats)
+    return _sup_verdict("thm21", k, m.dim, seed or 0, seed, radii, vals, sup, witness,
+                        skipped)
 
 
 def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
@@ -466,7 +483,7 @@ def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
     for x in pts:
         try:
             f_vec = newton_field(m, x, f0)
-        except (SingularError, NonFiniteError, DomainError, OverflowError):
+        except _SAMPLE_ERRORS:
             skipped += 1
             continue
         d = x - x1
@@ -500,11 +517,8 @@ def check_theorem31(m: C1Map, k: AuxFunction, sampler_x, n_dirs: int = 16,
     coercivity evidence for k (the bijectivity argument needs k coercive).
     """
     pts = sampler_x.points(m.dim)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_dirs, m.dim))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
     axes = np.concatenate([np.eye(m.dim), -np.eye(m.dim)])
-    dirs = np.concatenate([axes, dirs])
+    dirs = np.concatenate([axes, _unit_directions(np.random.default_rng(seed), n_dirs, m.dim)])
 
     sup = -math.inf
     witness = None
@@ -512,44 +526,24 @@ def check_theorem31(m: C1Map, k: AuxFunction, sampler_x, n_dirs: int = 16,
     radii, vals = [], []
     for x in pts:
         try:
-            factors = linalg.lu_decompose(m.jacobian(x))
-        except (SingularError, NonFiniteError, DomainError, OverflowError):
+            jac = m.jacobian(x)
+            linalg._regular_extremes(jac)
+        except _SAMPLE_ERRORS:
             skipped += 1
             continue
         point_max = -math.inf
         for u in dirs:
-            v = linalg.solve(factors, u)
-            val = dplus(k, x, v)
+            val = dplus(k, x, linalg._solve_raw(jac, u))
             if not math.isfinite(val):
-                return Certificate(
-                    "thm31", Verdict.VIOLATED, math.inf, np.asarray(x, dtype=float),
-                    None, len(vals) + 1, skipped, seed,
-                    {"reason": "non-finite derivative"},
-                )
+                return _non_finite_derivative("thm31", x, len(vals) + 1, skipped, seed)
             point_max = max(point_max, val)
         radii.append(float(np.linalg.norm(x)))
         vals.append(point_max)
         if point_max > sup:
             sup = point_max
             witness = np.asarray(x, dtype=float)
-
-    if not vals:
-        return Certificate("thm31", Verdict.INCONCLUSIVE, None, None, None,
-                           0, skipped, seed, {"reason": "no valid samples"})
-
-    co_status, co_witness, co_details = coercivity_evidence(k, m.dim, seed=seed)
-    trend_ok, trend = _growth_trend(np.array(radii), np.array(vals))
-    stats = {"sup": sup, "n_dirs": int(dirs.shape[0]), "trend": trend,
-             "coercivity": co_status, "coercivity_details": co_details}
-
-    if co_status == "decreasing":
-        return Certificate("thm31", Verdict.VIOLATED, sup, co_witness, None,
-                           len(vals), skipped, seed, stats)
-    if co_status in ("flattening", "undecided") or trend_ok is None or not trend_ok:
-        return Certificate("thm31", Verdict.INCONCLUSIVE, sup, witness, None,
-                           len(vals), skipped, seed, stats)
-    return Certificate("thm31", Verdict.SATISFIED, sup, witness, None,
-                       len(vals), skipped, seed, stats)
+    return _sup_verdict("thm31", k, m.dim, seed, seed, radii, vals, sup, witness,
+                        skipped, n_dirs=int(dirs.shape[0]))
 
 
 class OmegaPoly:
@@ -606,7 +600,7 @@ def check_hadamard(m: C1Map, omega, sampler, radii: Sequence[float] | None = Non
         w = float(omega(float(np.linalg.norm(x))))
         try:
             inv_n = linalg.inverse_norm(m.jacobian(x))
-        except (SingularError, NonFiniteError, DomainError, OverflowError):
+        except _SAMPLE_ERRORS:
             inv_n = math.inf
         margin = inv_n - w
         used += 1
@@ -626,8 +620,7 @@ def check_hadamard(m: C1Map, omega, sampler, radii: Sequence[float] | None = Non
         stats["divergence"] = "diverges" if diverges else "converges"
         stats["divergence_decided"] = "symbolic"
         if not diverges:
-            tail, _ = quad(lambda s: 1.0 / omega(s), 0.0, math.inf, limit=400)
-            stats["integral_value"] = float(tail)
+            stats["integral_value"] = float(_quad_inverse(omega, 0.0, math.inf, 400))
         if not pointwise_ok:
             return Certificate("hadamard", Verdict.VIOLATED, worst, witness,
                                POINT_SLACK, used, 0, seed, stats)
@@ -644,8 +637,7 @@ def check_hadamard(m: C1Map, omega, sampler, radii: Sequence[float] | None = Non
     acc = 0.0
     lo = 0.0
     for r in radii:
-        val, _ = quad(lambda s: 1.0 / omega(s), lo, r, limit=200)
-        acc += val
+        acc += _quad_inverse(omega, lo, r, 200)
         integrals.append(acc)
         lo = r
     increments = np.diff(np.array([0.0] + integrals))
@@ -685,7 +677,7 @@ def check_coercive_map(m: C1Map, radii: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 1
         for p in pts:
             try:
                 v = float(np.linalg.norm(m.eval(p)))
-            except (NonFiniteError, DomainError, OverflowError):
+            except _SAMPLE_ERRORS:
                 v = math.inf
             if v < best:
                 best = v
@@ -730,7 +722,7 @@ def check_ball_criterion(m: C1Map, x0, r: float, sphere_samples: int = 1024,
     for x in pts:
         try:
             f_vec = newton_field(m, x, f0)
-        except (SingularError, NonFiniteError, DomainError, OverflowError):
+        except _SAMPLE_ERRORS:
             skipped += 1
             continue
         val = float((x - x0) @ f_vec)
@@ -765,7 +757,8 @@ def check_bounded_inverse_on_ball(m: C1Map, r: float, count: int = 512,
     In R^n with continuous f' this sup is automatically finite; the value
     feeds solver diagnostics.  A singular sample short-circuits to +inf with
     the offending point as witness.  Boundary sphere points are always
-    included since the sup is typically attained there.
+    included since the sup is typically attained there.  Samples where f'
+    is non-finite or undefined are skipped and not counted.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -776,12 +769,16 @@ def check_bounded_inverse_on_ball(m: C1Map, r: float, count: int = 512,
 
     sup = 0.0
     witness = None
+    skipped = 0
     for x in pts:
         try:
             v = linalg.inverse_norm(m.jacobian(x))
         except SingularError:
-            return SampledSup(math.inf, np.asarray(x, dtype=float), len(pts))
+            return SampledSup(math.inf, np.asarray(x, dtype=float), len(pts) - skipped)
+        except _SAMPLE_ERRORS:
+            skipped += 1
+            continue
         if v > sup:
             sup = v
             witness = np.asarray(x, dtype=float)
-    return SampledSup(sup, witness, len(pts))
+    return SampledSup(sup, witness, len(pts) - skipped)

@@ -1,40 +1,42 @@
-"""Dense linear algebra kernels: pivoted LU, solves, determinants, spectral norms.
+"""Dense linear algebra kernels: the singularity rule, solves, spectral norms.
 
 Everything here operates on plain numpy arrays.  Matrices are square, real and
 dense; the target scale is n <= ~100, so there is no sparse path.  Dimensions
 1 and 2 get closed-form fast paths because the Newton-flow integrator calls
-these kernels thousands of times per trajectory on planar problems.
+these kernels thousands of times per trajectory on planar problems; larger
+matrices go through numpy's LAPACK bindings.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-# Pivots below REL_PIVOT_TOL * max|A| are treated as exact singularity: the
-# flow field -f'(x)^{-1}(f(x) - y*) is meaningless there and silently carrying
-# garbage factors would poison every downstream certificate.
-REL_PIVOT_TOL = 1e-13
+# The one singularity rule: A counts as singular unless sigma_min > 0 and
+# sigma_max <= COND_LIMIT * sigma_min.  The flow field -f'(x)^{-1}(f(x) - y*)
+# is meaningless beyond it, and a garbage solve would poison every downstream
+# certificate.  Why 1e13 and not 1e14: flow statuses and step counts were
+# calibrated against a relative pivot tolerance of 1e-13, which for 2x2
+# matrices amounts to roughly 1/cond, and 1e13 reproduces them.  At 1e14 the
+# unreachable zampieri-ex5 run from (1, 1) toward (-1, 0) would go on from
+# 721 to 775 steps before stopping.
+COND_LIMIT = 1e13
 
 
 class SingularError(Exception):
-    """A pivot collapsed: the matrix is singular to working precision.
+    """The matrix is singular to working precision under the COND_LIMIT rule.
 
-    Carries the offending elimination column so callers can report where
-    the Jacobian degenerated.
+    Carries the extreme singular values so callers can report how the
+    Jacobian degenerated.
     """
 
-    def __init__(self, column: int, pivot: float, scale: float):
-        self.column = column
-        self.pivot = pivot
-        self.scale = scale
+    def __init__(self, sigma_max: float, sigma_min: float):
+        self.sigma_max = sigma_max
+        self.sigma_min = sigma_min
         super().__init__(
-            f"singular matrix: |pivot| = {abs(pivot):.3e} at column {column} "
-            f"(threshold {REL_PIVOT_TOL:.1e} * {scale:.3e})"
+            f"singular matrix: sigma_max = {sigma_max:.3e}, sigma_min = {sigma_min:.3e} "
+            f"(condition limit {COND_LIMIT:.0e})"
         )
 
 
@@ -62,160 +64,81 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class LuFactors:
-    """Combined L\\U storage with LAPACK-style row-swap indices.
-
-    ``lu`` holds U on and above the diagonal and the unit-lower-triangular
-    multipliers strictly below it.  ``piv[k]`` is the row swapped with row k
-    during elimination step k.  ``sign`` is the permutation parity, so
-    det(A) = sign * prod(diag(lu)).
-    """
-
-    lu: np.ndarray
-    piv: np.ndarray
-    sign: float
-
-    @property
-    def dim(self) -> int:
-        return self.lu.shape[0]
-
-    def permutation(self) -> np.ndarray:
-        """Row permutation p with (P A)[i] = A[p[i]], reconstructed from piv."""
-        n = self.dim
-        p = np.arange(n)
-        for k in range(n):
-            j = self.piv[k]
-            if j != k:
-                p[k], p[j] = p[j], p[k]
-        return p
-
-
-def lu_decompose(a) -> LuFactors:
-    """Row-pivoted LU factorization; raises SingularError on a collapsed pivot."""
-    a = as_matrix(a)
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    tol = REL_PIVOT_TOL * scale
-
-    if n == 1:
-        pivot = a[0, 0]
-        if abs(pivot) <= tol or pivot == 0.0:
-            raise SingularError(0, pivot, scale)
-        return LuFactors(a.copy(), np.zeros(1, dtype=np.int32), 1.0)
-
-    if n == 2:
-        a00, a01 = a[0, 0], a[0, 1]
-        a10, a11 = a[1, 0], a[1, 1]
-        if abs(a10) > abs(a00):
-            a00, a01, a10, a11 = a10, a11, a00, a01
-            piv0, sign = 1, -1.0
-        else:
-            piv0, sign = 0, 1.0
-        if abs(a00) <= tol or a00 == 0.0:
-            raise SingularError(0, a00, scale)
-        l10 = a10 / a00
-        u11 = a11 - l10 * a01
-        if abs(u11) <= tol or u11 == 0.0:
-            raise SingularError(1, u11, scale)
-        lu = np.array(((a00, a01), (l10, u11)))
-        return LuFactors(lu, np.array((piv0, 1), dtype=np.int32), sign)
-
-    with warnings.catch_warnings():
-        # scipy warns instead of raising on exact zero pivots; the diagonal
-        # scan below turns that case into SingularError.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    diag = np.diag(lu)
-    small = np.abs(diag) <= tol
-    if np.any(small) or np.any(diag == 0.0):
-        k = int(np.argmax(small | (diag == 0.0)))
-        raise SingularError(k, float(diag[k]), scale)
-    sign = 1.0 if np.count_nonzero(piv != np.arange(a.shape[0])) % 2 == 0 else -1.0
-    return LuFactors(lu, piv, sign)
-
-
-def solve(factors: LuFactors, b) -> np.ndarray:
-    """Solve A x = b given the LU factors of A."""
-    b = as_vector(b, factors.dim)
-    n = factors.dim
-    if n == 1:
-        return np.array((b[0] / factors.lu[0, 0],))
-    if n == 2:
-        lu = factors.lu
-        b0, b1 = (b[1], b[0]) if factors.piv[0] == 1 else (b[0], b[1])
-        y1 = b1 - lu[1, 0] * b0
-        x1 = y1 / lu[1, 1]
-        x0 = (b0 - lu[0, 1] * x1) / lu[0, 0]
-        return np.array((x0, x1))
-    return scipy.linalg.lu_solve((factors.lu, factors.piv), b, check_finite=False)
-
-
-def solve_dense(a, b) -> np.ndarray:
-    """Factor-and-solve convenience: solve(lu_decompose(a), b)."""
-    return solve(lu_decompose(a), b)
-
-
-def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Factor-and-solve without input validation, for hot loops.
-
-    Same pivot-tolerance semantics as lu_decompose; dimensions 1 and 2 run
-    in scalar arithmetic with no factor object allocated.
-    """
-    n = a.shape[0]
-    if n == 1:
-        a00 = a[0, 0]
-        if abs(a00) <= REL_PIVOT_TOL * abs(a00) or a00 == 0.0:
-            raise SingularError(0, a00, abs(a00))
-        return b / a00
-    if n == 2:
-        a00, a01 = a[0, 0], a[0, 1]
-        a10, a11 = a[1, 0], a[1, 1]
-        b0, b1 = b[0], b[1]
-        if abs(a10) > abs(a00):
-            a00, a01, a10, a11 = a10, a11, a00, a01
-            b0, b1 = b1, b0
-        scale = max(abs(a00), abs(a01), abs(a10), abs(a11))
-        tol = REL_PIVOT_TOL * scale
-        if abs(a00) <= tol or a00 == 0.0:
-            raise SingularError(0, a00, scale)
-        l10 = a10 / a00
-        u11 = a11 - l10 * a01
-        if abs(u11) <= tol or u11 == 0.0:
-            raise SingularError(1, u11, scale)
-        x1 = (b1 - l10 * b0) / u11
-        return np.array(((b0 - a01 * x1) / a00, x1))
-    return solve(lu_decompose(a), b)
-
-
-def det(factors: LuFactors) -> float:
-    """Determinant from the factors: parity times the product of U's diagonal."""
-    return float(factors.sign * np.prod(np.diag(factors.lu)))
-
-
-def spectral_extremes(a) -> tuple[float, float]:
-    """(sigma_max, sigma_min): the extreme singular values of a square matrix."""
-    return _extremes_raw(as_matrix(a))
-
-
 def _extremes_raw(a: np.ndarray) -> tuple[float, float]:
+    """(sigma_max, sigma_min) without input validation."""
     n = a.shape[0]
     if n == 1:
-        s = abs(a[0, 0])
+        s = abs(float(a[0, 0]))
         return s, s
     if n == 2:
         # sigma_min = |det| / sigma_max avoids the cancellation that the
         # direct formula sqrt((f - sqrt(f^2 - 4 det^2))/2) suffers near
         # singularity.
-        a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+        (a00, a01), (a10, a11) = a.tolist()
         fro2 = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
         d = a00 * a11 - a01 * a10
         disc = fro2 * fro2 - 4.0 * d * d
         smax = math.sqrt(0.5 * (fro2 + math.sqrt(disc if disc > 0.0 else 0.0)))
         smin = abs(d) / smax if smax > 0.0 else 0.0
         return smax, smin
-    s = scipy.linalg.svdvals(a)
+    if not np.all(np.isfinite(a)):
+        return math.nan, math.nan  # fails the rule, like NaN in the closed forms
+    s = np.linalg.svd(a, compute_uv=False)
     return float(s[0]), float(s[-1])
+
+
+def _regular_extremes(a: np.ndarray) -> tuple[float, float]:
+    """(sigma_max, sigma_min), raising SingularError when the rule fails."""
+    smax, smin = _extremes_raw(a)
+    if not (smin > 0.0 and smax <= COND_LIMIT * smin):
+        raise SingularError(smax, smin)
+    return smax, smin
+
+
+def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b without input validation, for hot loops.
+
+    Applies the singularity rule first.  Dimensions 1 and 2 run in scalar
+    arithmetic (Python floats give the same IEEE results as numpy scalars);
+    the 2x2 rule is computed inline from the four entries, as in
+    _extremes_raw, and the solve is one row-pivoted elimination step.
+    """
+    n = a.shape[0]
+    if n == 1:
+        a00 = a[0, 0]
+        if not (abs(a00) > 0.0):
+            raise SingularError(abs(a00), abs(a00))
+        return b / a00
+    if n == 2:
+        (a00, a01), (a10, a11) = a.tolist()
+        fro2 = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+        d = a00 * a11 - a01 * a10
+        disc = fro2 * fro2 - 4.0 * d * d
+        smax = math.sqrt(0.5 * (fro2 + math.sqrt(disc if disc > 0.0 else 0.0)))
+        smin = abs(d) / smax if smax > 0.0 else 0.0
+        if not (smin > 0.0 and smax <= COND_LIMIT * smin):
+            raise SingularError(smax, smin)
+        b0, b1 = b.tolist()
+        if abs(a10) > abs(a00):
+            a00, a01, a10, a11 = a10, a11, a00, a01
+            b0, b1 = b1, b0
+        l10 = a10 / a00
+        u11 = a11 - l10 * a01
+        x1 = (b1 - l10 * b0) / u11
+        return np.array(((b0 - a01 * x1) / a00, x1))
+    _regular_extremes(a)
+    return np.linalg.solve(a, b)
+
+
+def solve_dense(a, b) -> np.ndarray:
+    """Solve A x = b for a square A, raising SingularError under the rule."""
+    a = as_matrix(a)
+    return _solve_raw(a, as_vector(b, a.shape[0]))
+
+
+def spectral_extremes(a) -> tuple[float, float]:
+    """(sigma_max, sigma_min): the extreme singular values of a square matrix."""
+    return _extremes_raw(as_matrix(a))
 
 
 def operator_norm(a) -> float:
@@ -226,13 +149,7 @@ def operator_norm(a) -> float:
 def inverse_norm(a) -> float:
     """Spectral norm of the inverse, ||A^{-1}||_2 = 1 / sigma_min(A).
 
-    Raises SingularError (same pivot-tolerance semantics as lu_decompose)
-    rather than returning a huge finite value for a numerically singular
-    matrix.
+    Raises SingularError under the COND_LIMIT rule rather than returning a
+    huge finite value for a numerically singular matrix.
     """
-    a = as_matrix(a)
-    lu_decompose(a)  # enforce the shared singularity threshold
-    _, smin = spectral_extremes(a)
-    if smin == 0.0:
-        raise SingularError(0, 0.0, float(np.max(np.abs(a))))
-    return 1.0 / smin
+    return 1.0 / _regular_extremes(as_matrix(a))[1]

@@ -392,6 +392,26 @@ def test_bounded_inverse_on_ball():
     assert s.witness is not None
 
 
+def test_bounded_inverse_skips_non_finite_samples():
+    # samples where f' is non-finite are skipped and not counted
+    half = C1Map(
+        "half-finite", 1,
+        lambda x: np.array([x[0]]),
+        lambda x: np.array([[1.0 if x[0] < 0.0 else math.inf]]),
+    )
+    s = check_bounded_inverse_on_ball(half, 2.0, count=64, seed=0)
+    total = 64 + 16 + 2  # ball, shell, and both boundary points in 1-D
+    assert s.value == 1.0
+    assert s.witness[0] < 0.0
+    assert 0 < s.samples_used < total
+
+    # exp overflows beyond x ~ 709 (skipped) and its derivative underflows to
+    # zero below x ~ -745 (singular: +inf with the point as witness)
+    s = check_bounded_inverse_on_ball(builtin("exp1d"), 800.0, count=64, seed=0)
+    assert s.value == math.inf
+    assert s.witness[0] < -700.0
+
+
 def test_bounded_inverse_planar_oracle_cross_check():
     s = check_bounded_inverse_on_ball(ZAMP, 1.0, count=512, seed=4)
     import newtonflow.linalg as linalg

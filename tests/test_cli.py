@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,3 +209,41 @@ def test_seeded_outputs_byte_identical(capsys):
     _, out2 = _run(capsys, argv)
     assert _strip_timestamp(out1) == _strip_timestamp(out2)
     assert json.loads(out1)["seed"] == 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--res", "1"],
+    ["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--res", "3,x"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "cor22", "--grid", "-1,1,-1,1,0"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "thm31", "--dirs", "x"],
+    ["solve", "--map", "zampieri-ex5", "--target", "1,0,0", "--start", "0,0"],
+])
+def test_bad_values_exit_one_without_traceback(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_non_finite_values_are_strict_json(capsys):
+    code, out = _run(capsys, ["certify", "--map", "exp1d", "--criterion", "hadamard",
+                              "--omega", "const:1", "--grid", "-800,800,11"])
+    assert code == 3
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["extremal_value"] == "inf"
+    assert doc["stats"]["pointwise_margin"] == "inf"
+
+
+def test_import_does_not_load_scipy():
+    import newtonflow
+
+    env = dict(os.environ, PYTHONPATH=str(Path(newtonflow.__file__).parents[1]))
+    probe = ("import sys, newtonflow; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -212,3 +212,12 @@ def test_singular_seed_is_a_status_not_an_exception():
     traj = integrate(m, (0.0, 0.5), (2.0, 0.0), FlowOptions())
     assert traj.status is FlowStatus.SINGULAR_JACOBIAN
     assert traj.steps == 0
+
+
+def test_unreachable_target_stops_at_the_singularity_rule():
+    # (-1, 0) is outside the range of the planar oracle map (its first
+    # component stays positive): the flow runs toward a degenerate Jacobian
+    # and stops once the stage solves fail the condition limit
+    traj = integrate(ZAMP, (1.0, 1.0), (-1.0, 0.0), FlowOptions())
+    assert traj.status is FlowStatus.SINGULAR_JACOBIAN
+    assert traj.steps == 721
