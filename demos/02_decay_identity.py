@@ -7,6 +7,9 @@ accumulated deviation over a whole trajectory, which makes every run its own
 error report.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from newtonflow import (
@@ -44,6 +47,7 @@ print("round-trip error :", np.linalg.norm(bw.final_state - (1.0, 1.0)))
 
 # %% trajectories export to CSV with per-sample drift columns
 
-traj.to_csv("/tmp/newtonflow_trajectory.csv")
-print("\nwrote /tmp/newtonflow_trajectory.csv")
+csv_path = os.path.join(tempfile.gettempdir(), "newtonflow_trajectory.csv")
+traj.to_csv(csv_path)
+print("\nwrote", csv_path)
 print("summary:", traj.summary())

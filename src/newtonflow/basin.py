@@ -6,19 +6,19 @@ belongs to the basin of x0 (for maps satisfying the global-inversion
 hypotheses the whole grid converges), and feed a pairwise injectivity
 falsification probe.
 
-Cells are independent tasks: the scan distributes them over a process pool
-and merges by cell index, so worker count never changes the result.
+Cells are independent tasks: the scan maps them over a process pool, which
+returns results in cell order, so worker count never changes the result.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -94,11 +94,6 @@ def _scan_cell(m: C1Map, center, target, opts: FlowOptions):
     return traj.status, t_conv, traj.final_residual_norm
 
 
-def _scan_chunk(args):
-    m, target, opts, cells = args
-    return [(i, j, *_scan_cell(m, c, target, opts)) for i, j, c in cells]
-
-
 def scan_basin(
     m: C1Map,
     x0,
@@ -129,30 +124,23 @@ def scan_basin(
 
     cx = xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx
     cy = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
-    cells = [(i, j, np.array((cx[i], cy[j]))) for i in range(nx) for j in range(ny)]
+    centers = [np.array((x, y)) for x in cx for y in cy]
+    scan = functools.partial(_scan_cell, m, target=target, opts=opts)
 
     if workers is None:
         workers = os.cpu_count() or 1
-    results = []
-    if workers <= 1 or len(cells) < 64:
-        results = _scan_chunk((m, target, opts, cells))
+    if workers <= 1 or len(centers) < 64:
+        results = list(map(scan, centers))
     else:
-        chunk = max(32, len(cells) // (workers * 16))
-        batches = [
-            (m, target, opts, cells[k:k + chunk]) for k in range(0, len(cells), chunk)
-        ]
+        chunk = max(32, len(centers) // (workers * 16))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_chunk, batches):
-                results.extend(part)
+            results = list(pool.map(scan, centers, chunksize=chunk))
 
-    status = np.empty((nx, ny), dtype=object)
-    t_conv = np.full((nx, ny), math.nan)
-    final_residual = np.full((nx, ny), math.nan)
-    for i, j, st, tc, fr in results:
-        status[i, j] = st
-        t_conv[i, j] = tc
-        final_residual[i, j] = fr
-    return BasinGrid((xmin, xmax, ymin, ymax), nx, ny, status, t_conv, final_residual)
+    status, t_conv, final_residual = zip(*results)
+    return BasinGrid((xmin, xmax, ymin, ymax), nx, ny,
+                     np.array(status, dtype=object).reshape(nx, ny),
+                     np.array(t_conv).reshape(nx, ny),
+                     np.array(final_residual).reshape(nx, ny))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ POINT_SLACK = 1e-9            # numeric slack for pointwise inequalities
 TREND_GROWTH_MARGIN = 0.05    # relative sup growth between inner/outer shells
 FLATTEN_RATIO = 0.05          # late/early increment ratio that flags saturation
 SMOOTHING_RADIUS = 1.0        # quadratic cap radius for aux_hadamard
+_DOUBLING_RADII = tuple(float(2**j) for j in range(11))  # default growth-evidence radii
 
 # Per-sample failures: the sample is skipped (or, for bounds on ||f'^{-1}||,
 # scored +inf) and the check goes on.
@@ -328,6 +329,31 @@ def _k_safe(aux: AuxFunction, x) -> float:
     return v if math.isfinite(v) else math.inf
 
 
+def _sphere_minima(value, dim: int, radii, count: int, rng) -> tuple[list, list]:
+    """Minimum of ``value`` and its first argmin on each nested sphere ||x|| = r.
+
+    ``value`` maps a point to a float or +inf.  The scan stops at the first
+    sphere with no finite value, so fewer minima than radii mean failure.
+    """
+    minima, witnesses = [], []
+    for r in radii:
+        pts = _sphere_points(dim, r, count, rng)
+        vals = np.array([value(p) for p in pts])
+        if not np.isfinite(vals).any():
+            break
+        i = int(vals.argmin())
+        minima.append(float(vals[i]))
+        witnesses.append(pts[i])
+    return minima, witnesses
+
+
+def _flattening(increments: np.ndarray) -> bool:
+    """Late growth increments collapsed against the early ones, as for a bounded profile."""
+    early = float(increments[:3].max())
+    late = float(increments[-3:].max())
+    return late <= FLATTEN_RATIO * max(early, 0.0) or late <= 1e-12
+
+
 def coercivity_evidence(
     aux: AuxFunction,
     dim: int,
@@ -344,29 +370,19 @@ def coercivity_evidence(
     ``undecided``   spheres had no finite samples.
     """
     if radii is None:
-        radii = tuple(float(2**j) for j in range(11))
-    rng = np.random.default_rng(seed)
-    mins, witnesses = [], []
-    for r in radii:
-        pts = _sphere_points(dim, r, samples_per_sphere, rng)
-        vals = np.array([_k_safe(aux, p) for p in pts])
-        finite = np.isfinite(vals)
-        if not finite.any():
-            return "undecided", None, {"radii": list(radii), "minima": None}
-        i = int(np.where(finite, vals, math.inf).argmin())
-        mins.append(float(vals[i]))
-        witnesses.append(pts[i])
+        radii = _DOUBLING_RADII
+    mins, witnesses = _sphere_minima(lambda p: _k_safe(aux, p), dim, radii,
+                                     samples_per_sphere, np.random.default_rng(seed))
+    if len(mins) < len(radii):
+        return "undecided", None, {"radii": list(radii), "minima": None}
     mins_arr = np.array(mins)
     diffs = np.diff(mins_arr)
     details = {"radii": list(radii), "minima": mins, "increments": diffs.tolist()}
     slack = POINT_SLACK * np.maximum(1.0, np.abs(mins_arr[:-1]))
     bad = np.nonzero(diffs < -slack)[0]
     if bad.size:
-        j = int(bad[0])
-        return "decreasing", witnesses[j + 1], details
-    early = float(diffs[:3].max())
-    late = float(diffs[-3:].max())
-    if late <= FLATTEN_RATIO * max(early, 0.0) or late <= 1e-12:
+        return "decreasing", witnesses[int(bad[0]) + 1], details
+    if _flattening(diffs):
         return "flattening", witnesses[-1], details
     return "ok", None, details
 
@@ -392,19 +408,52 @@ def _growth_trend(radii: np.ndarray, values: np.ndarray) -> tuple[Optional[bool]
 # --- criterion checks -------------------------------------------------------
 
 
-def _sup_verdict(criterion: str, k: AuxFunction, dim: int, co_seed: int, seed,
-                 radii: list, vals: list, sup: float, witness, skipped: int,
-                 **extra_stats) -> Certificate:
-    """Grade a sampled sup of D+ k: coercivity evidence for k, growth trend, verdict.
+def _seed_of(sampler, seed):
+    """The seed a certificate reports: the explicit one, else the sampler's."""
+    return seed if seed is not None else getattr(sampler, "seed", None)
 
-    Satisfied needs positive coercivity evidence and a sup that does not grow
-    from the inner to the outer radius shells; a decreasing coercivity profile
-    is a violation with its own witness.
+
+def _no_samples(criterion: str, threshold, skipped: int, seed) -> Certificate:
+    return Certificate(criterion, Verdict.INCONCLUSIVE, None, None, threshold,
+                       0, skipped, seed, {"reason": "no valid samples"})
+
+
+def _dplus_sup(criterion: str, m: C1Map, k: AuxFunction, pts, directions,
+               co_seed: int, seed, **extra_stats) -> Certificate:
+    """Sampled sup over pts of max_v D+_v k(x), v in ``directions(x)``, graded.
+
+    A sample error in ``directions`` skips the point; no directions drops it
+    uncounted.  The first non-finite D+ is a violation on the spot.
+    Satisfied needs positive coercivity evidence for k and a sup that does
+    not grow from the inner to the outer radius shells; a decreasing
+    coercivity profile is a violation with its own witness.
     """
+    skipped = 0
+    kept, radii, vals = [], [], []
+    for x in pts:
+        try:
+            vs = directions(x)
+        except _SAMPLE_ERRORS:
+            skipped += 1
+            continue
+        if not vs:
+            continue
+        point_max = -math.inf
+        for v in vs:
+            val = dplus(k, x, v)
+            if not math.isfinite(val):
+                return Certificate(criterion, Verdict.VIOLATED, math.inf,
+                                   np.asarray(x, dtype=float), None, len(vals) + 1,
+                                   skipped, seed, {"reason": "non-finite derivative"})
+            point_max = max(point_max, val)
+        kept.append(x)
+        radii.append(float(np.linalg.norm(x)))
+        vals.append(point_max)
     if not vals:
-        return Certificate(criterion, Verdict.INCONCLUSIVE, None, None, None,
-                           0, skipped, seed, {"reason": "no valid samples"})
-    co_status, co_witness, co_details = coercivity_evidence(k, dim, seed=co_seed)
+        return _no_samples(criterion, None, skipped, seed)
+    i = int(np.argmax(vals))
+    sup, witness = vals[i], np.asarray(kept[i], dtype=float)
+    co_status, co_witness, co_details = coercivity_evidence(k, m.dim, seed=co_seed)
     trend_ok, trend = _growth_trend(np.array(radii), np.array(vals))
     stats = {"sup": sup, **extra_stats, "trend": trend, "coercivity": co_status,
              "coercivity_details": co_details}
@@ -418,9 +467,14 @@ def _sup_verdict(criterion: str, k: AuxFunction, dim: int, co_seed: int, seed,
                        seed, stats)
 
 
-def _non_finite_derivative(criterion: str, x, used: int, skipped: int, seed) -> Certificate:
-    return Certificate(criterion, Verdict.VIOLATED, math.inf, np.asarray(x, dtype=float),
-                       None, used, skipped, seed, {"reason": "non-finite derivative"})
+def _fields(m: C1Map, pts, f0):
+    """(x, F(x)) per sample, F the Newton field toward f0, or None on a sample error."""
+    for x in pts:
+        try:
+            f_vec = newton_field(m, x, f0)
+        except _SAMPLE_ERRORS:
+            f_vec = None
+        yield x, f_vec
 
 
 def check_theorem21(m: C1Map, x0, k: AuxFunction, sampler, seed: int | None = None) -> Certificate:
@@ -433,30 +487,14 @@ def check_theorem21(m: C1Map, x0, k: AuxFunction, sampler, seed: int | None = No
     x0 = as_vector(x0, m.dim)
     f0 = m.eval(x0)
     pts = sampler.points(m.dim)
-    seed = seed if seed is not None else getattr(sampler, "seed", None)
+    seed = _seed_of(sampler, seed)
 
-    sup = -math.inf
-    witness = None
-    skipped = 0
-    radii, vals = [], []
-    for x in pts:
-        try:
-            f_vec = newton_field(m, x, f0)
-        except _SAMPLE_ERRORS:
-            skipped += 1
-            continue
-        if not np.any(f_vec):
-            continue  # at the equilibrium the field vanishes: D+ undefined
-        val = dplus(k, x, f_vec)
-        if not math.isfinite(val):
-            return _non_finite_derivative("thm21", x, len(vals) + 1, skipped, seed)
-        radii.append(float(np.linalg.norm(x)))
-        vals.append(val)
-        if val > sup:
-            sup = val
-            witness = np.asarray(x, dtype=float)
-    return _sup_verdict("thm21", k, m.dim, seed or 0, seed, radii, vals, sup, witness,
-                        skipped)
+    def along_field(x):
+        f_vec = newton_field(m, x, f0)
+        # at the equilibrium the field vanishes: D+ undefined, point dropped
+        return [f_vec] if np.any(f_vec) else []
+
+    return _dplus_sup("thm21", m, k, pts, along_field, seed or 0, seed)
 
 
 def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
@@ -473,17 +511,15 @@ def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
     x1 = as_vector(x1, m.dim)
     f0 = m.eval(x0)
     pts = sampler.points(m.dim)
-    seed = seed if seed is not None else getattr(sampler, "seed", None)
+    seed = _seed_of(sampler, seed)
 
     worst = -math.inf
     witness = None
     skipped = 0
     used = 0
     violations = 0
-    for x in pts:
-        try:
-            f_vec = newton_field(m, x, f0)
-        except _SAMPLE_ERRORS:
+    for x, f_vec in _fields(m, pts, f0):
+        if f_vec is None:
             skipped += 1
             continue
         d = x - x1
@@ -501,8 +537,7 @@ def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
             witness = np.asarray(x, dtype=float)
 
     if used == 0:
-        return Certificate("cor22", Verdict.INCONCLUSIVE, None, None, POINT_SLACK,
-                           0, skipped, seed, {"reason": "no valid samples"})
+        return _no_samples("cor22", POINT_SLACK, skipped, seed)
     verdict = Verdict.VIOLATED if violations else Verdict.SATISFIED
     return Certificate("cor22", verdict, worst, witness, POINT_SLACK, used, skipped,
                        seed, {"violations": violations, "constants": {"a": a, "b": b, "c": c}})
@@ -520,30 +555,13 @@ def check_theorem31(m: C1Map, k: AuxFunction, sampler_x, n_dirs: int = 16,
     axes = np.concatenate([np.eye(m.dim), -np.eye(m.dim)])
     dirs = np.concatenate([axes, _unit_directions(np.random.default_rng(seed), n_dirs, m.dim)])
 
-    sup = -math.inf
-    witness = None
-    skipped = 0
-    radii, vals = [], []
-    for x in pts:
-        try:
-            jac = m.jacobian(x)
-            linalg._regular_extremes(jac)
-        except _SAMPLE_ERRORS:
-            skipped += 1
-            continue
-        point_max = -math.inf
-        for u in dirs:
-            val = dplus(k, x, linalg._solve_raw(jac, u))
-            if not math.isfinite(val):
-                return _non_finite_derivative("thm31", x, len(vals) + 1, skipped, seed)
-            point_max = max(point_max, val)
-        radii.append(float(np.linalg.norm(x)))
-        vals.append(point_max)
-        if point_max > sup:
-            sup = point_max
-            witness = np.asarray(x, dtype=float)
-    return _sup_verdict("thm31", k, m.dim, seed, seed, radii, vals, sup, witness,
-                        skipped, n_dirs=int(dirs.shape[0]))
+    def inverse_images(x):
+        jac = m.jacobian(x)
+        linalg._regular_extremes(jac)
+        return [linalg._solve_raw(jac, u) for u in dirs]
+
+    return _dplus_sup("thm31", m, k, pts, inverse_images, seed, seed,
+                      n_dirs=int(dirs.shape[0]))
 
 
 class OmegaPoly:
@@ -590,11 +608,12 @@ def check_hadamard(m: C1Map, omega, sampler, radii: Sequence[float] | None = Non
     evidence is collected and the verdict is capped at inconclusive.
     """
     pts = sampler.points(m.dim)
-    seed = seed if seed is not None else getattr(sampler, "seed", None)
+    seed = _seed_of(sampler, seed)
+    if len(pts) == 0:
+        return _no_samples("hadamard", POINT_SLACK, 0, seed)
 
     worst = -math.inf
     witness = None
-    used = 0
     pointwise_ok = True
     for x in pts:
         w = float(omega(float(np.linalg.norm(x))))
@@ -603,7 +622,6 @@ def check_hadamard(m: C1Map, omega, sampler, radii: Sequence[float] | None = Non
         except _SAMPLE_ERRORS:
             inv_n = math.inf
         margin = inv_n - w
-        used += 1
         if margin > POINT_SLACK * (1.0 + abs(w)):
             pointwise_ok = False
         if margin > worst:
@@ -611,47 +629,33 @@ def check_hadamard(m: C1Map, omega, sampler, radii: Sequence[float] | None = Non
             witness = np.asarray(x, dtype=float)
 
     stats: dict = {"pointwise_margin": worst, "pointwise_ok": pointwise_ok}
-    if used == 0:
-        return Certificate("hadamard", Verdict.INCONCLUSIVE, None, None, POINT_SLACK,
-                           0, 0, seed, {"reason": "no valid samples"})
-
     if isinstance(omega, OmegaPoly):
         diverges = omega.diverges()
         stats["divergence"] = "diverges" if diverges else "converges"
         stats["divergence_decided"] = "symbolic"
         if not diverges:
             stats["integral_value"] = float(_quad_inverse(omega, 0.0, math.inf, 400))
-        if not pointwise_ok:
-            return Certificate("hadamard", Verdict.VIOLATED, worst, witness,
-                               POINT_SLACK, used, 0, seed, stats)
-        if not diverges:
-            return Certificate("hadamard", Verdict.VIOLATED, worst, None,
-                               POINT_SLACK, used, 0, seed, stats)
-        return Certificate("hadamard", Verdict.SATISFIED, worst, witness,
-                           POINT_SLACK, used, 0, seed, stats)
-
-    # user-supplied omega: numeric divergence evidence only
-    if radii is None:
-        radii = tuple(float(2**j) for j in range(11))
-    integrals = []
-    acc = 0.0
-    lo = 0.0
-    for r in radii:
-        acc += _quad_inverse(omega, lo, r, 200)
-        integrals.append(acc)
-        lo = r
-    increments = np.diff(np.array([0.0] + integrals))
-    early = float(increments[:3].max())
-    late = float(increments[-3:].max())
-    flattening = late <= FLATTEN_RATIO * max(early, 0.0) or late <= 1e-12
-    stats["divergence"] = "flattening" if flattening else "growing"
-    stats["divergence_decided"] = "numeric-evidence"
-    stats["integral_profile"] = integrals
-    if not pointwise_ok:
-        return Certificate("hadamard", Verdict.VIOLATED, worst, witness,
-                           POINT_SLACK, used, 0, seed, stats)
-    return Certificate("hadamard", Verdict.INCONCLUSIVE, worst, witness,
-                       POINT_SLACK, used, 0, seed, stats)
+            if pointwise_ok:
+                witness = None  # the violation is the convergent integral, not a point
+        verdict = Verdict.SATISFIED if pointwise_ok and diverges else Verdict.VIOLATED
+    else:
+        # user-supplied omega: numeric divergence evidence only
+        if radii is None:
+            radii = _DOUBLING_RADII
+        integrals = []
+        acc = 0.0
+        lo = 0.0
+        for r in radii:
+            acc += _quad_inverse(omega, lo, r, 200)
+            integrals.append(acc)
+            lo = r
+        flattening = _flattening(np.diff(np.array([0.0] + integrals)))
+        stats["divergence"] = "flattening" if flattening else "growing"
+        stats["divergence_decided"] = "numeric-evidence"
+        stats["integral_profile"] = integrals
+        verdict = Verdict.INCONCLUSIVE if pointwise_ok else Verdict.VIOLATED
+    return Certificate("hadamard", verdict, worst, witness, POINT_SLACK, len(pts), 0,
+                       seed, stats)
 
 
 def check_coercive_map(m: C1Map, radii: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0),
@@ -667,37 +671,27 @@ def check_coercive_map(m: C1Map, radii: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 1
     radii = tuple(float(r) for r in radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    rng = np.random.default_rng(seed)
-    minima = []
-    witnesses = []
-    for r in radii:
-        pts = _sphere_points(m.dim, r, samples_per_sphere, rng)
-        best = math.inf
-        best_pt = None
-        for p in pts:
-            try:
-                v = float(np.linalg.norm(m.eval(p)))
-            except _SAMPLE_ERRORS:
-                v = math.inf
-            if v < best:
-                best = v
-                best_pt = p
-        if best_pt is None or not math.isfinite(best):
-            return Certificate("coercive", Verdict.INCONCLUSIVE, None, None,
-                               growth_factor, 0, 0, seed,
-                               {"reason": "no finite samples", "radius": r})
-        minima.append(best)
-        witnesses.append(best_pt)
-    stats = {"radii": list(radii), "minima": minima,
-             "growth_factor": growth_factor, "evidence_only": True}
-    grew = minima[-1] > growth_factor * minima[0]
-    if grew:
-        return Certificate("coercive", Verdict.SATISFIED, minima[-1],
-                           np.asarray(witnesses[-1], dtype=float), growth_factor,
-                           len(radii) * samples_per_sphere, 0, seed, stats)
-    return Certificate("coercive", Verdict.VIOLATED, minima[-1],
-                       np.asarray(witnesses[-1], dtype=float), growth_factor,
-                       len(radii) * samples_per_sphere, 0, seed, stats)
+
+    def norm_f(p):
+        try:
+            return float(np.linalg.norm(m.eval(p)))
+        except _SAMPLE_ERRORS:
+            return math.inf
+
+    minima, witnesses = _sphere_minima(norm_f, m.dim, radii, samples_per_sphere,
+                                       np.random.default_rng(seed))
+    if len(minima) < len(radii):
+        verdict, value, witness, used = Verdict.INCONCLUSIVE, None, None, 0
+        stats = {"reason": "no finite samples", "radius": radii[len(minima)]}
+    else:
+        grew = minima[-1] > growth_factor * minima[0]
+        verdict = Verdict.SATISFIED if grew else Verdict.VIOLATED
+        value, witness = minima[-1], np.asarray(witnesses[-1], dtype=float)
+        used = len(radii) * samples_per_sphere
+        stats = {"radii": list(radii), "minima": minima,
+                 "growth_factor": growth_factor, "evidence_only": True}
+    return Certificate("coercive", verdict, value, witness, growth_factor, used, 0,
+                       seed, stats)
 
 
 def check_ball_criterion(m: C1Map, x0, r: float, sphere_samples: int = 1024,
@@ -714,34 +708,22 @@ def check_ball_criterion(m: C1Map, x0, r: float, sphere_samples: int = 1024,
     rng = np.random.default_rng(seed)
     pts = x0 + _sphere_points(m.dim, r, sphere_samples, rng)
 
-    vmax = -math.inf
-    vmin = math.inf
-    wmax = wmin = None
-    used = 0
-    skipped = 0
-    for x in pts:
-        try:
-            f_vec = newton_field(m, x, f0)
-        except _SAMPLE_ERRORS:
-            skipped += 1
-            continue
-        val = float((x - x0) @ f_vec)
-        used += 1
-        if val > vmax:
-            vmax, wmax = val, np.asarray(x, dtype=float)
-        if val < vmin:
-            vmin, wmin = val, np.asarray(x, dtype=float)
-
-    if used == 0:
-        return Certificate("ball", Verdict.INCONCLUSIVE, None, None, POINT_SLACK,
-                           0, skipped, seed, {"reason": "no valid samples"})
-    stats = {"min": vmin, "max": vmax, "min_witness": wmin, "max_witness": wmax,
+    kept, vals = [], []
+    for x, f_vec in _fields(m, pts, f0):
+        if f_vec is not None:
+            kept.append(x)
+            vals.append(float((x - x0) @ f_vec))
+    skipped = len(pts) - len(vals)
+    if not vals:
+        return _no_samples("ball", POINT_SLACK, skipped, seed)
+    imax, imin = int(np.argmax(vals)), int(np.argmin(vals))
+    wmax = np.asarray(kept[imax], dtype=float)
+    stats = {"min": vals[imin], "max": vals[imax],
+             "min_witness": np.asarray(kept[imin], dtype=float), "max_witness": wmax,
              "radius": r}
-    if vmax <= POINT_SLACK:
-        return Certificate("ball", Verdict.SATISFIED, vmax, wmax, POINT_SLACK,
-                           used, skipped, seed, stats)
-    return Certificate("ball", Verdict.VIOLATED, vmax, wmax, POINT_SLACK,
-                       used, skipped, seed, stats)
+    verdict = Verdict.SATISFIED if vals[imax] <= POINT_SLACK else Verdict.VIOLATED
+    return Certificate("ball", verdict, vals[imax], wmax, POINT_SLACK, len(vals), skipped,
+                       seed, stats)
 
 
 class SampledSup(NamedTuple):
@@ -758,7 +740,8 @@ def check_bounded_inverse_on_ball(m: C1Map, r: float, count: int = 512,
     feeds solver diagnostics.  A singular sample short-circuits to +inf with
     the offending point as witness.  Boundary sphere points are always
     included since the sup is typically attained there.  Samples where f'
-    is non-finite or undefined are skipped and not counted.
+    is non-finite or undefined are skipped and not counted; samples_used
+    counts the points evaluated, up to and including a singular one.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -770,11 +753,11 @@ def check_bounded_inverse_on_ball(m: C1Map, r: float, count: int = 512,
     sup = 0.0
     witness = None
     skipped = 0
-    for x in pts:
+    for i, x in enumerate(pts):
         try:
             v = linalg.inverse_norm(m.jacobian(x))
         except SingularError:
-            return SampledSup(math.inf, np.asarray(x, dtype=float), len(pts) - skipped)
+            return SampledSup(math.inf, np.asarray(x, dtype=float), i + 1 - skipped)
         except _SAMPLE_ERRORS:
             skipped += 1
             continue

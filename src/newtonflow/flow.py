@@ -193,18 +193,6 @@ _H_MIN = 1e-14
 _EPS = float(np.finfo(float).eps)
 
 
-def _field(fn, jacf, x, target):
-    """(F, r) at x, unvalidated hot path.
-
-    Non-finite residuals are not screened here: NaN/inf propagate into the
-    step error or the decay violation, whose negated acceptance comparisons
-    then reject the step.  A Jacobian that fails the singularity rule
-    (non-finite entries included) raises SingularError.
-    """
-    r = fn(x) - target
-    return linalg._solve_raw(jacf(x), -r), r
-
-
 def integrate(
     m: C1Map,
     start,
@@ -249,8 +237,15 @@ def integrate(
     if rnorm <= opts.residual_tol:
         return finish(FlowStatus.CONVERGED, 0)
 
+    # The field F = -f'(x)^{-1} r is evaluated unvalidated: non-finite
+    # residuals propagate into the step error or the decay violation, whose
+    # negated acceptance comparisons then reject the step, and a Jacobian
+    # that fails the singularity rule (non-finite entries included) raises
+    # SingularError.
+    solve = linalg._solve_raw
     try:
-        f_cur, r = _field(fn, jacf, x, target)
+        r = fn(x) - target
+        f_cur = solve(jacf(x), -r)
     except (SingularError, NonFiniteError, OverflowError):
         return finish(FlowStatus.SINGULAR_JACOBIAN, 0)
 
@@ -265,8 +260,11 @@ def integrate(
     last_rejected = False
     last_exc: Exception | None = None
     dim = m.dim
+    abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
     blowup_sq = opts.blowup_radius * opts.blowup_radius
+    backward = sgn < 0.0
     k = np.empty((7, dim))
+    k[0] = sgn * f_cur  # FSAL: each accepted step hands k[6] on to k[0]
 
     while True:
         if attempts >= opts.max_steps:
@@ -278,14 +276,19 @@ def integrate(
                 return finish(FlowStatus.SINGULAR_JACOBIAN, accepted)
             return finish(FlowStatus.STEP_FAILURE, accepted)
 
-        k[0] = sgn * f_cur
+        # Stage i is x + h * (A_i @ k[:i]) with k[i] = sgn * F, computed in
+        # place (products and sums commute exactly) to keep small-array
+        # overhead out of the hot loop; the last stage is x_new.
         try:
-            for i in range(1, 6):
-                y = x + h * (_A_ROWS[i] @ k[:i])
-                k[i] = sgn * _field(fn, jacf, y, target)[0]
-            x_new = x + h * (_A_ROWS[6] @ k[:6])
-            f_new, r_new = _field(fn, jacf, x_new, target)
-            k[6] = sgn * f_new
+            for i in range(1, 7):
+                y = _A_ROWS[i].dot(k[:i])
+                y *= h
+                y += x
+                r_new = fn(y) - target
+                k[i] = solve(jacf(y), -r_new)
+                if backward:
+                    k[i] *= -1.0
+            x_new = y
         except (SingularError, NonFiniteError, DomainError, OverflowError, FloatingPointError) as exc:
             last_exc = exc
             last_rejected = True
@@ -294,10 +297,10 @@ def integrate(
 
         # embedded 4th/5th-order error estimate, RMS-scaled; comparisons are
         # negated so NaN falls into the reject branch
-        err_vec = (h * (_E @ k)) / (
-            opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+        err_vec = (h * _E.dot(k)) / (
+            abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(x_new))
         )
-        err = math.sqrt(float(err_vec @ err_vec) / dim)
+        err = math.sqrt(float(err_vec.dot(err_vec)) / dim)
         if not (err <= 1.0):
             last_exc = None
             last_rejected = True
@@ -309,7 +312,7 @@ def integrate(
         # evaluating f(x) - y* in floating point; below it the identity is
         # unobservable, not violated.
         dev = r_new - math.exp(-sgn * h) * r
-        viol = math.sqrt(abs(float(dev @ dev)))
+        viol = math.sqrt(abs(float(dev.dot(dev))))
         allowed = oracle_tol * rnorm + 32.0 * _EPS * (tnorm + rnorm)
         ratio = viol / allowed
         if not (ratio <= 1.0):
@@ -321,15 +324,16 @@ def integrate(
         tau += h
         accepted += 1
         x = x_new
-        f_cur, r = f_new, r_new
-        rnorm = math.sqrt(float(r @ r))
+        r = r_new
+        k[0] = k[6]
+        rnorm = math.sqrt(float(r.dot(r)))
         ts.append(sgn * tau)
         xs.append(x)
         rs.append(r)
 
         if rnorm <= opts.residual_tol:
             return finish(FlowStatus.CONVERGED, accepted)
-        if float(x @ x) >= blowup_sq:
+        if float(x.dot(x)) >= blowup_sq:
             return finish(FlowStatus.BLOWUP, accepted)
         if tau >= opts.t_max * (1.0 - 1e-14):
             return finish(FlowStatus.HORIZON_REACHED, accepted)

@@ -64,6 +64,30 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _extremes2(a00: float, a01: float, a10: float, a11: float) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of the 2x2 matrix [[a00, a01], [a10, a11]].
+
+    sigma_min = |det| / sigma_max avoids the cancellation that the direct
+    formula sqrt((f - sqrt(f^2 - 4 det^2))/2) suffers near singularity.
+    Squares of entries above ~1e154 overflow and below ~1e-154 underflow,
+    so outside a safe band the entries are first scaled by an exact power
+    of two; inside it the formula runs on the entries as they are.
+    """
+    fro2 = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+    if not 1e-150 < fro2 < 1e150:
+        big = max(abs(a00), abs(a01), abs(a10), abs(a11))
+        if 0.0 < big < math.inf and not math.isnan(fro2):
+            e = -math.frexp(big)[1]
+            smax, smin = _extremes2(math.ldexp(a00, e), math.ldexp(a01, e),
+                                    math.ldexp(a10, e), math.ldexp(a11, e))
+            return math.ldexp(smax, -e), math.ldexp(smin, -e)
+    d = a00 * a11 - a01 * a10
+    disc = fro2 * fro2 - 4.0 * d * d
+    smax = math.sqrt(0.5 * (fro2 + math.sqrt(disc if disc > 0.0 else 0.0)))
+    smin = abs(d) / smax if smax > 0.0 else 0.0
+    return smax, smin
+
+
 def _extremes_raw(a: np.ndarray) -> tuple[float, float]:
     """(sigma_max, sigma_min) without input validation."""
     n = a.shape[0]
@@ -71,16 +95,8 @@ def _extremes_raw(a: np.ndarray) -> tuple[float, float]:
         s = abs(float(a[0, 0]))
         return s, s
     if n == 2:
-        # sigma_min = |det| / sigma_max avoids the cancellation that the
-        # direct formula sqrt((f - sqrt(f^2 - 4 det^2))/2) suffers near
-        # singularity.
         (a00, a01), (a10, a11) = a.tolist()
-        fro2 = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
-        d = a00 * a11 - a01 * a10
-        disc = fro2 * fro2 - 4.0 * d * d
-        smax = math.sqrt(0.5 * (fro2 + math.sqrt(disc if disc > 0.0 else 0.0)))
-        smin = abs(d) / smax if smax > 0.0 else 0.0
-        return smax, smin
+        return _extremes2(a00, a01, a10, a11)
     if not np.all(np.isfinite(a)):
         return math.nan, math.nan  # fails the rule, like NaN in the closed forms
     s = np.linalg.svd(a, compute_uv=False)
@@ -100,8 +116,8 @@ def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Applies the singularity rule first.  Dimensions 1 and 2 run in scalar
     arithmetic (Python floats give the same IEEE results as numpy scalars);
-    the 2x2 rule is computed inline from the four entries, as in
-    _extremes_raw, and the solve is one row-pivoted elimination step.
+    the 2x2 rule is applied inline to _extremes2 of the four entries, and
+    the solve is one row-pivoted elimination step.
     """
     n = a.shape[0]
     if n == 1:
@@ -111,11 +127,7 @@ def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return b / a00
     if n == 2:
         (a00, a01), (a10, a11) = a.tolist()
-        fro2 = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
-        d = a00 * a11 - a01 * a10
-        disc = fro2 * fro2 - 4.0 * d * d
-        smax = math.sqrt(0.5 * (fro2 + math.sqrt(disc if disc > 0.0 else 0.0)))
-        smin = abs(d) / smax if smax > 0.0 else 0.0
+        smax, smin = _extremes2(a00, a01, a10, a11)
         if not (smin > 0.0 and smax <= COND_LIMIT * smin):
             raise SingularError(smax, smin)
         b0, b1 = b.tolist()

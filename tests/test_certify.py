@@ -410,6 +410,8 @@ def test_bounded_inverse_skips_non_finite_samples():
     s = check_bounded_inverse_on_ball(builtin("exp1d"), 800.0, count=64, seed=0)
     assert s.value == math.inf
     assert s.witness[0] < -700.0
+    # only the points evaluated before the stop count: 10 of 82, 2 of them skipped
+    assert s.samples_used == 8
 
 
 def test_bounded_inverse_planar_oracle_cross_check():

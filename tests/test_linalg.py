@@ -140,6 +140,30 @@ def test_spectral_extremes_small_dims_match_svd():
             assert smin == pytest.approx(float(s[-1]), rel=1e-8, abs=1e-12)
 
 
+@pytest.mark.parametrize("a", [
+    [[1e160, 0.0], [0.0, 1e160]],
+    [[1e-170, 0.0], [0.0, 1e-170]],
+    [[1e100, 1e100], [0.0, 1e100]],
+    [[3e-200, -1e-200], [2e-200, 5e-200]],
+    [[1e300, 2e299], [-4e299, 7e299]],
+])
+def test_spectral_extremes_scale_safe(a):
+    # squares of these entries overflow or underflow: only a relative error counts
+    a = np.array(a)
+    smax, smin = spectral_extremes(a)
+    s = np.linalg.svd(a, compute_uv=False)
+    assert smax == pytest.approx(float(s[0]), rel=1e-12, abs=0.0)
+    assert smin == pytest.approx(float(s[-1]), rel=1e-10, abs=0.0)
+    assert inverse_norm(a) == pytest.approx(1.0 / float(s[-1]), rel=1e-10, abs=0.0)
+
+
+def test_solve_dense_at_extreme_scale():
+    x = solve_dense(np.diag([1e160, 1e160]), np.array([1.0, -2.0]))
+    assert x.tolist() == [1e-160, -2e-160]
+    with pytest.raises(SingularError):
+        solve_dense(np.zeros((2, 2)), np.ones(2))
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_condition_limit_rule(n):
     # the one singularity rule: singular unless sigma_max <= 1e13 * sigma_min
