@@ -244,7 +244,6 @@ def integrate(
     # SingularError.
     solve = linalg._solve_raw
     try:
-        r = fn(x) - target
         f_cur = solve(jacf(x), -r)
     except (SingularError, NonFiniteError, OverflowError):
         return finish(FlowStatus.SINGULAR_JACOBIAN, 0)

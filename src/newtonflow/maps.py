@@ -5,15 +5,18 @@ oracle maps, closed-form companions (inverse Jacobian, Newton field toward
 f(0), and the radial product x . F(x)) that the test batteries compare the
 numerical pipeline against.
 
-The registry ships a fixed set of maps.  Evaluators are module-level
-callables, never closures, so maps pickle cleanly into worker processes
-during basin scans.
+The registry is one table of entries; each builds its map from plain
+module-level evaluators, bound to their parameters (a matrix, a
+coefficient) with functools.partial, never closures, so maps pickle
+cleanly into worker processes during basin scans.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -102,16 +105,11 @@ class C1Map:
         """
         if self.jac is None:
             raise ValueError("map has no analytic Jacobian to perturb")
-        return replace(self, jac=_PerturbedJac(self.jac, eps))
+        return replace(self, jac=partial(_scaled_jac, self.jac, 1.0 + eps))
 
 
-class _PerturbedJac:
-    def __init__(self, jac, eps):
-        self.jac = jac
-        self.eps = eps
-
-    def __call__(self, x):
-        return (1.0 + self.eps) * np.asarray(self.jac(x), dtype=float)
+def _scaled_jac(jac, factor, x):
+    return factor * np.asarray(jac(x), dtype=float)
 
 
 def fd_jacobian_check(m: C1Map, probes) -> float:
@@ -204,43 +202,43 @@ def _exp_jac(x):
     return np.array(((math.exp(x[0]) if x[0] < 709.0 else math.inf,),))
 
 
-class _LinearEval:
-    def __init__(self, a: np.ndarray):
-        self.a = a
-
-    def __call__(self, x):
-        return self.a @ x
+def _linear_fn(a, x):
+    return a @ x
 
 
-class _LinearJac:
-    def __init__(self, a: np.ndarray):
-        self.a = a
-
-    def __call__(self, x):
-        return self.a
+def _linear_jac(a, x):
+    return a
 
 
-class _RotPolyFn:
+def _rot_poly_fn(eps, x):
     """Quarter-turn rotation plus a small odd cubic: (-eta + e*xi^3, xi + e*eta^3)."""
-
-    def __init__(self, eps: float):
-        self.eps = eps
-
-    def __call__(self, x):
-        xi, eta = x
-        e = self.eps
-        return np.array((-eta + e * xi**3, xi + e * eta**3))
+    xi, eta = x
+    return np.array((-eta + eps * xi**3, xi + eps * eta**3))
 
 
-class _RotPolyJac:
-    def __init__(self, eps: float):
-        self.eps = eps
+def _rot_poly_jac(eps, x):
+    xi, eta = x
+    # det = 1 + 9 e^2 xi^2 eta^2 >= 1: never singular.
+    return np.array(((3.0 * eps * xi * xi, -1.0), (1.0, 3.0 * eps * eta * eta)))
 
-    def __call__(self, x):
-        xi, eta = x
-        e = self.eps
-        # det = 1 + 9 e^2 xi^2 eta^2 >= 1: never singular.
-        return np.array(((3.0 * e * xi * xi, -1.0), (1.0, 3.0 * e * eta * eta)))
+
+def _build_linear(dim=None, a=None):
+    if a is None:
+        if dim is None:
+            raise ValueError("linear map needs a matrix or a dimension")
+        a = np.eye(dim)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("linear map matrix must be square")
+    if dim is not None and a.shape[0] != dim:
+        raise ValueError("matrix size disagrees with dim")
+    return C1Map("linear", a.shape[0], partial(_linear_fn, a), partial(_linear_jac, a))
+
+
+def _build_rot_poly(eps=0.1):
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return C1Map("rot-poly2d", 2, partial(_rot_poly_fn, eps), partial(_rot_poly_jac, eps))
 
 
 @dataclass(frozen=True)
@@ -252,120 +250,70 @@ class MapRegistryEntry:
     builder: Callable[..., C1Map]
 
 
-def _build_zampieri(dim=2, **params):
-    if dim != 2:
-        raise ValueError("zampieri-ex5 is a planar map (dim 2)")
-    return C1Map(
-        name="zampieri-ex5",
-        dim=2,
-        fn=_zampieri_fn,
-        jac=_zampieri_jac,
-        inv_jac=_zampieri_inv_jac,
-        field_origin=_zampieri_field,
-        radial_origin=_zampieri_radial,
-    )
-
-
-def _build_arctan(dim=1, **params):
-    if dim != 1:
-        raise ValueError("arctan1d is one-dimensional")
-    return C1Map("arctan1d", 1, _arctan_fn, _arctan_jac, inv_jac=_arctan_inv_jac)
-
-
-def _build_cubic(dim=1, **params):
-    if dim != 1:
-        raise ValueError("cubic1d is one-dimensional")
-    return C1Map("cubic1d", 1, _cubic_fn, _cubic_jac)
-
-
-def _build_exp(dim=1, **params):
-    if dim != 1:
-        raise ValueError("exp1d is one-dimensional")
-    return C1Map("exp1d", 1, _exp_fn, _exp_jac)
-
-
-def _build_linear(dim=None, a=None, **params):
-    if a is None:
-        if dim is None:
-            raise ValueError("linear map needs a matrix or a dimension")
-        a = np.eye(dim)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("linear map matrix must be square")
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError("matrix size disagrees with dim")
-    return C1Map("linear", a.shape[0], _LinearEval(a), _LinearJac(a))
-
-
-def _build_rot_poly(dim=2, eps=0.1, **params):
-    if dim != 2:
-        raise ValueError("rot-poly2d is a planar map (dim 2)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return C1Map("rot-poly2d", 2, _RotPolyFn(eps), _RotPolyJac(eps))
-
-
-_REGISTRY: dict[str, MapRegistryEntry] = {}
-
-
-def _register(entry: MapRegistryEntry):
-    if entry.key in _REGISTRY:
-        raise ValueError(f"duplicate registry key {entry.key!r}")
-    _REGISTRY[entry.key] = entry
-
-
-_register(MapRegistryEntry(
-    "zampieri-ex5", 2,
-    "planar map e^xi/sqrt(1+eta^2) * (1, eta): injective local diffeomorphism "
-    "of R^2, not surjective (first component positive); ships closed-form "
-    "inverse Jacobian, Newton field and radial product as oracles",
-    "Zampieri (1992), nonsurjective planar example",
-    _build_zampieri,
-))
-_register(MapRegistryEntry(
-    "arctan1d", 1,
-    "x -> arctan x: injective onto (-pi/2, pi/2); inverse-derivative growth "
-    "1 + x^2 defeats the Hadamard-Levy integral condition",
-    "classic bounded counterexample for surjectivity criteria",
-    _build_arctan,
-))
-_register(MapRegistryEntry(
-    "linear", None,
-    "x -> A x for an invertible matrix A (identity by default)",
-    "trivial case of the affine growth bound on ||f'(x)^{-1}||",
-    _build_linear,
-))
-_register(MapRegistryEntry(
-    "cubic1d", 1,
-    "x -> x + x^3: global diffeomorphism of R with f' = 1 + 3x^2 >= 1",
-    "monotone scalar benchmark with a bisection-checkable inverse",
-    _build_cubic,
-))
-_register(MapRegistryEntry(
-    "exp1d", 1,
-    "x -> e^x: injective, not surjective; targets <= 0 make the Newton flow "
-    "blow up",
-    "blow-up detection benchmark",
-    _build_exp,
-))
-_register(MapRegistryEntry(
-    "rot-poly2d", 2,
-    "quarter-turn rotation plus small odd cubic: coercive planar "
-    "diffeomorphism onto R^2 (det f' = 1 + 9 eps^2 xi^2 eta^2 >= 1)",
-    "coercivity-based bijectivity benchmark",
-    _build_rot_poly,
-))
+_REGISTRY: dict[str, MapRegistryEntry] = {e.key: e for e in (
+    MapRegistryEntry(
+        "zampieri-ex5", 2,
+        "planar map e^xi/sqrt(1+eta^2) * (1, eta): injective local diffeomorphism "
+        "of R^2, not surjective (first component positive); ships closed-form "
+        "inverse Jacobian, Newton field and radial product as oracles",
+        "Zampieri (1992), nonsurjective planar example",
+        lambda: C1Map("zampieri-ex5", 2, _zampieri_fn, _zampieri_jac,
+                      inv_jac=_zampieri_inv_jac, field_origin=_zampieri_field,
+                      radial_origin=_zampieri_radial),
+    ),
+    MapRegistryEntry(
+        "arctan1d", 1,
+        "x -> arctan x: injective onto (-pi/2, pi/2); inverse-derivative growth "
+        "1 + x^2 defeats the Hadamard-Levy integral condition",
+        "classic bounded counterexample for surjectivity criteria",
+        lambda: C1Map("arctan1d", 1, _arctan_fn, _arctan_jac, inv_jac=_arctan_inv_jac),
+    ),
+    MapRegistryEntry(
+        "linear", None,
+        "x -> A x for an invertible matrix A (identity by default)",
+        "trivial case of the affine growth bound on ||f'(x)^{-1}||",
+        _build_linear,
+    ),
+    MapRegistryEntry(
+        "cubic1d", 1,
+        "x -> x + x^3: global diffeomorphism of R with f' = 1 + 3x^2 >= 1",
+        "monotone scalar benchmark with a bisection-checkable inverse",
+        lambda: C1Map("cubic1d", 1, _cubic_fn, _cubic_jac),
+    ),
+    MapRegistryEntry(
+        "exp1d", 1,
+        "x -> e^x: injective, not surjective; targets <= 0 make the Newton flow "
+        "blow up",
+        "blow-up detection benchmark",
+        lambda: C1Map("exp1d", 1, _exp_fn, _exp_jac),
+    ),
+    MapRegistryEntry(
+        "rot-poly2d", 2,
+        "quarter-turn rotation plus small odd cubic: coercive planar "
+        "diffeomorphism onto R^2 (det f' = 1 + 9 eps^2 xi^2 eta^2 >= 1)",
+        "coercivity-based bijectivity benchmark",
+        _build_rot_poly,
+    ),
+)}
 
 
 def builtin(key: str, dim: int | None = None, **params) -> C1Map:
-    """Build a registry map.  Unknown keys raise UnknownMapError."""
+    """Build a registry map.  Unknown keys raise UnknownMapError, a ``dim``
+    other than a fixed-dimension map's raises ValueError and a parameter the
+    map does not take raises TypeError."""
     try:
         entry = _REGISTRY[key]
     except KeyError:
         raise UnknownMapError(key) from None
-    if dim is None:
-        dim = entry.dim
-    return entry.builder(dim=dim, **params)
+    if entry.dim is None:
+        params["dim"] = dim
+    elif dim is not None and dim != entry.dim:
+        raise ValueError(f"map {key!r} has dimension {entry.dim}, not {dim}")
+    taken = inspect.signature(entry.builder).parameters
+    for name in params:
+        if name not in taken:
+            raise TypeError(f"map {key!r} does not take {name!r}")
+    return entry.builder(**params)
 
 
 def registry_entries() -> list[MapRegistryEntry]:

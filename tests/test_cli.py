@@ -217,6 +217,9 @@ def test_seeded_outputs_byte_identical(capsys):
     ["certify", "--map", "zampieri-ex5", "--criterion", "cor22", "--grid", "-1,1,-1,1,0"],
     ["certify", "--map", "zampieri-ex5", "--criterion", "thm31", "--dirs", "x"],
     ["solve", "--map", "zampieri-ex5", "--target", "1,0,0", "--start", "0,0"],
+    # a map option the chosen map does not take
+    ["solve", "--map", "cubic1d", "--eps", "0.3", "--target", "10", "--start", "0"],
+    ["solve", "--map", "zampieri-ex5", "--A", "1,0,0,1", "--target", "1,0", "--start", "1,1"],
 ])
 def test_bad_values_exit_one_without_traceback(capsys, argv):
     assert main(argv) == 1
@@ -236,6 +239,14 @@ def test_non_finite_values_are_strict_json(capsys):
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["extremal_value"] == "inf"
     assert doc["stats"]["pointwise_margin"] == "inf"
+
+    # f'(x)^{-1} u = e^{-x} u is below 1e-154 here: tiny, but not a zero direction
+    code, out = _run(capsys, ["certify", "--map", "exp1d", "--criterion", "thm31",
+                              "--k", "logcoercive", "--grid", "300,500,5"])
+    assert code == 3
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["verdict"] == "violated"
+    assert doc["stats"]["coercivity"] == "decreasing"
 
 
 def test_import_does_not_load_scipy():

@@ -21,6 +21,8 @@ from newtonflow.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "certify.jsonl"
 
 _C = ["certify", "--seed", "3", "--map"]
+_S = ["solve", "--seed", "3", "--map"]
+_B = ["basin", "--seed", "3", "--res", "9", "--workers", "2", "--probe", "500", "--map"]
 
 COMMANDS = [
     # zampieri-ex5: every criterion
@@ -74,6 +76,19 @@ COMMANDS = [
     ["verify-ex5", "--samples", "500", "--grid-res", "21", "--positive-samples", "1000"],
     ["verify-ex5", "--samples", "500", "--grid-res", "21", "--positive-samples", "1000",
      "--perturb-jacobian", "1e-3"],
+    # every built-in map through the flow, with each terminal status
+    _S + ["zampieri-ex5", "--target", "1,0", "--start", "1,1"],
+    _S + ["zampieri-ex5", "--target", "-1,0", "--start", "1,1"],
+    _S + ["arctan1d", "--target", "2", "--start", "0"],
+    _S + ["cubic1d", "--target", "10", "--start", "0"],
+    _S + ["exp1d", "--target", "5", "--start", "0"],
+    _S + ["exp1d", "--target", "-1", "--start", "0"],
+    _S + ["rot-poly2d", "--eps", "0.3", "--target", "1,2", "--start", "0,0"],
+    _S + ["linear", "--A", "2,1,0,3", "--target", "1,2", "--start", "0,0"],
+    # pooled basin scans: the maps travel to the workers by pickle
+    _B + ["rot-poly2d", "--x0", "0,0"],
+    _B + ["linear", "--A", "2,1,0,3", "--x0", "0,0"],
+    ["list-maps"],
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ def test_builtin_dim_validation():
         builtin("zampieri-ex5", dim=3)
     with pytest.raises(ValueError):
         builtin("linear")
+
+
+@pytest.mark.parametrize("key, params, name", [
+    ("cubic1d", {"eps": 0.3}, "eps"),
+    ("zampieri-ex5", {"a": np.eye(2)}, "a"),
+    ("rot-poly2d", {"a": np.eye(2)}, "a"),
+    ("linear", {"eps": 0.3}, "eps"),
+])
+def test_builtin_rejects_parameters_the_map_does_not_take(key, params, name):
+    with pytest.raises(TypeError, match=f"map '{key}' does not take '{name}'"):
+        builtin(key, **params)
 
 
 def test_fd_check_linear_exact():
@@ -167,3 +179,17 @@ def test_perturbed_jacobian_hook():
     np.testing.assert_allclose(j1, (1 + 1e-3) * j0, rtol=1e-15)
     # companions untouched: they remain valid oracles
     assert bad.inv_jac is m.inv_jac
+
+
+def test_maps_survive_pickle_round_trip():
+    # basin scans ship maps to worker processes by pickle
+    maps = _registry_instances() + [
+        builtin("rot-poly2d", eps=0.3),
+        builtin("zampieri-ex5").with_perturbed_jacobian(1e-3),
+    ]
+    for m in maps:
+        back = pickle.loads(pickle.dumps(m))
+        x = np.linspace(0.3, 0.7, m.dim)
+        assert back.name == m.name
+        assert back.eval(x).tobytes() == m.eval(x).tobytes()
+        assert back.jacobian(x).tobytes() == m.jacobian(x).tobytes()
