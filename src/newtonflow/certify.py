@@ -29,19 +29,17 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .flow import newton_field
+# newton_field stays importable from here: the benchmark's traced run spans
+# certify.newton_field
+from .flow import SAMPLE_ERRORS, newton_field, newton_fields  # noqa: F401
 from .linalg import SingularError, as_vector
-from .maps import C1Map, DomainError, NonFiniteError
+from .maps import C1Map
 
 POINT_SLACK = 1e-9            # numeric slack for pointwise inequalities
 TREND_GROWTH_MARGIN = 0.05    # relative sup growth between inner/outer shells
 FLATTEN_RATIO = 0.05          # late/early increment ratio that flags saturation
 SMOOTHING_RADIUS = 1.0        # quadratic cap radius for aux_hadamard
 _DOUBLING_RADII = tuple(float(2**j) for j in range(11))  # default growth-evidence radii
-
-# Per-sample failures: the sample is skipped (or, for bounds on ||f'^{-1}||,
-# scored +inf) and the check goes on.
-_SAMPLE_ERRORS = (SingularError, NonFiniteError, DomainError, OverflowError)
 
 
 class Verdict(str, Enum):
@@ -324,7 +322,7 @@ def _k_safe(aux: AuxFunction, x) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             v = float(aux.k(x))
-        except _SAMPLE_ERRORS:
+        except SAMPLE_ERRORS:
             return math.inf
     return v if math.isfinite(v) else math.inf
 
@@ -418,11 +416,12 @@ def _no_samples(criterion: str, threshold, skipped: int, seed) -> Certificate:
                        0, skipped, seed, {"reason": "no valid samples"})
 
 
-def _dplus_sup(criterion: str, m: C1Map, k: AuxFunction, pts, directions,
+def _dplus_sup(criterion: str, m: C1Map, k: AuxFunction, samples,
                co_seed: int, seed, **extra_stats) -> Certificate:
-    """Sampled sup over pts of max_v D+_v k(x), v in ``directions(x)``, graded.
+    """Sampled sup of max_v D+_v k(x) over ``samples``, pairs (x, directions),
+    graded.
 
-    A sample error in ``directions`` skips the point; no directions drops it
+    Directions None (a sample error) skip the point; no directions drop it
     uncounted.  The first non-finite D+ is a violation on the spot.
     Satisfied needs positive coercivity evidence for k and a sup that does
     not grow from the inner to the outer radius shells; a decreasing
@@ -430,10 +429,8 @@ def _dplus_sup(criterion: str, m: C1Map, k: AuxFunction, pts, directions,
     """
     skipped = 0
     kept, radii, vals = [], [], []
-    for x in pts:
-        try:
-            vs = directions(x)
-        except _SAMPLE_ERRORS:
+    for x, vs in samples:
+        if vs is None:
             skipped += 1
             continue
         if not vs:
@@ -467,16 +464,6 @@ def _dplus_sup(criterion: str, m: C1Map, k: AuxFunction, pts, directions,
                        seed, stats)
 
 
-def _fields(m: C1Map, pts, f0):
-    """(x, F(x)) per sample, F the Newton field toward f0, or None on a sample error."""
-    for x in pts:
-        try:
-            f_vec = newton_field(m, x, f0)
-        except _SAMPLE_ERRORS:
-            f_vec = None
-        yield x, f_vec
-
-
 def check_theorem21(m: C1Map, x0, k: AuxFunction, sampler, seed: int | None = None) -> Certificate:
     """Sampled sup of D+_{F(x)} k(x) along the Newton field toward f(x0).
 
@@ -489,12 +476,15 @@ def check_theorem21(m: C1Map, x0, k: AuxFunction, sampler, seed: int | None = No
     pts = sampler.points(m.dim)
     seed = _seed_of(sampler, seed)
 
-    def along_field(x):
-        f_vec = newton_field(m, x, f0)
-        # at the equilibrium the field vanishes: D+ undefined, point dropped
-        return [f_vec] if np.any(f_vec) else []
+    def along_field():
+        for x, f_vec in newton_fields(m, pts, f0):
+            if f_vec is None:
+                yield x, None
+            else:
+                # at the equilibrium the field vanishes: D+ undefined, point dropped
+                yield x, [f_vec] if np.any(f_vec) else []
 
-    return _dplus_sup("thm21", m, k, pts, along_field, seed or 0, seed)
+    return _dplus_sup("thm21", m, k, along_field(), seed or 0, seed)
 
 
 def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
@@ -518,7 +508,7 @@ def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
     skipped = 0
     used = 0
     violations = 0
-    for x, f_vec in _fields(m, pts, f0):
+    for x, f_vec in newton_fields(m, pts, f0):
         if f_vec is None:
             skipped += 1
             continue
@@ -555,11 +545,16 @@ def check_theorem31(m: C1Map, k: AuxFunction, sampler_x, n_dirs: int = 16,
     axes = np.concatenate([np.eye(m.dim), -np.eye(m.dim)])
     dirs = np.concatenate([axes, _unit_directions(np.random.default_rng(seed), n_dirs, m.dim)])
 
-    def inverse_images(x):
-        jac = m.jacobian(x)
-        return [linalg._solve_raw(jac, u) for u in dirs]
+    def inverse_images():
+        for x in pts:
+            try:
+                jac = m.jacobian(x)
+                vs = [linalg._solve_raw(jac, u) for u in dirs]
+            except SAMPLE_ERRORS:
+                vs = None
+            yield x, vs
 
-    return _dplus_sup("thm31", m, k, pts, inverse_images, seed, seed,
+    return _dplus_sup("thm31", m, k, inverse_images(), seed, seed,
                       n_dirs=int(dirs.shape[0]))
 
 
@@ -618,7 +613,7 @@ def check_hadamard(m: C1Map, omega, sampler, radii: Sequence[float] | None = Non
         w = float(omega(float(np.linalg.norm(x))))
         try:
             inv_n = linalg.inverse_norm(m.jacobian(x))
-        except _SAMPLE_ERRORS:
+        except SAMPLE_ERRORS:
             inv_n = math.inf
         margin = inv_n - w
         if margin > POINT_SLACK * (1.0 + abs(w)):
@@ -674,7 +669,7 @@ def check_coercive_map(m: C1Map, radii: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 1
     def norm_f(p):
         try:
             return float(np.linalg.norm(m.eval(p)))
-        except _SAMPLE_ERRORS:
+        except SAMPLE_ERRORS:
             return math.inf
 
     minima, witnesses = _sphere_minima(norm_f, m.dim, radii, samples_per_sphere,
@@ -708,7 +703,7 @@ def check_ball_criterion(m: C1Map, x0, r: float, sphere_samples: int = 1024,
     pts = x0 + _sphere_points(m.dim, r, sphere_samples, rng)
 
     kept, vals = [], []
-    for x, f_vec in _fields(m, pts, f0):
+    for x, f_vec in newton_fields(m, pts, f0):
         if f_vec is not None:
             kept.append(x)
             vals.append(float((x - x0) @ f_vec))
@@ -757,7 +752,7 @@ def check_bounded_inverse_on_ball(m: C1Map, r: float, count: int = 512,
             v = linalg.inverse_norm(m.jacobian(x))
         except SingularError:
             return SampledSup(math.inf, np.asarray(x, dtype=float), i + 1 - skipped)
-        except _SAMPLE_ERRORS:
+        except SAMPLE_ERRORS:
             skipped += 1
             continue
         if v > sup:

@@ -27,6 +27,14 @@ from . import linalg
 from .linalg import SingularError, as_vector
 from .maps import C1Map, DomainError, NonFiniteError
 
+# Failures of one field evaluation that a sampled check skips (or scores)
+# and goes on from; anything else propagates.
+SAMPLE_ERRORS = (SingularError, NonFiniteError, DomainError, OverflowError)
+
+# Rows per block of newton_fields: large enough that numpy's per-call cost
+# vanishes, small enough that a block's temporaries stay out of peak memory.
+FIELD_BLOCK = 1024
+
 
 class FlowStatus(str, Enum):
     CONVERGED = "converged"
@@ -136,6 +144,48 @@ def newton_field(m: C1Map, x, target) -> np.ndarray:
     fx = m.eval(x)
     jac = m.jacobian(x)
     return linalg.solve_dense(jac, target - fx)
+
+
+def newton_fields(m: C1Map, pts, target):
+    """Yield (x, F(x)) for each row x of ``pts``, or (x, None) where
+    ``newton_field`` raises one of SAMPLE_ERRORS.
+
+    Planar maps with both row forms are evaluated FIELD_BLOCK rows at a time
+    with linalg._solve_rows, whose rows equal the scalar path bit for bit.
+    Every row the block cannot vouch for, and every row of any other map,
+    runs ``newton_field`` when it is yielded, so values, skips and
+    exceptions come in the order of a per-point loop.
+    """
+    batched = m.dim == 2 and m.fn_rows is not None and m.jac_rows is not None
+    if batched:
+        target = as_vector(target, 2)
+    for lo in range(0, len(pts), FIELD_BLOCK):
+        block = pts[lo:lo + FIELD_BLOCK]
+        fields, ok = _field_rows(m, block, target) if batched else (None, None)
+        for i, x in enumerate(block):
+            if ok is not None and ok[i]:
+                yield x, fields[i]
+                continue
+            try:
+                f_vec = newton_field(m, x, target)
+            except SAMPLE_ERRORS:
+                f_vec = None
+            yield x, f_vec
+
+
+def _field_rows(m: C1Map, block: np.ndarray, target: np.ndarray):
+    """(F, ok) for a block of a planar map with row forms; (None, None) if a
+    row form raises, which sends the whole block through the scalar path."""
+    block = np.asarray(block, dtype=float)
+    with np.errstate(all="ignore"):
+        try:
+            fx = np.asarray(m.fn_rows(block), dtype=float)
+            jac = np.asarray(m.jac_rows(block), dtype=float)
+        except Exception:
+            return None, None
+        fields, ok = linalg._solve_rows(jac, target - fx)
+    ok &= np.isfinite(block).all(axis=1)
+    return fields, ok
 
 
 def decay_drift(traj: Trajectory) -> float:
@@ -288,7 +338,7 @@ def integrate(
                 if backward:
                     k[i] *= -1.0
             x_new = y
-        except (SingularError, NonFiniteError, DomainError, OverflowError, FloatingPointError) as exc:
+        except (*SAMPLE_ERRORS, FloatingPointError) as exc:
             last_exc = exc
             last_rejected = True
             h *= 0.5
@@ -360,7 +410,7 @@ def _newton_polish(m: C1Map, x, target, steps: int = 3) -> np.ndarray:
             step = linalg.solve_dense(m.jacobian(x), r)
             x_try = x - step
             r_try = m.eval(x_try) - target
-        except (SingularError, NonFiniteError, DomainError, OverflowError):
+        except SAMPLE_ERRORS:
             break
         n_try = float(np.linalg.norm(r_try))
         if n_try >= best:

@@ -142,6 +142,40 @@ def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the 2x2 systems a[i] x[i] = b[i] of an (N, 2, 2) and an (N, 2) block.
+
+    Returns (x, ok).  Where ok[i] holds, x[i] equals ``_solve_raw(a[i], b[i])``
+    bit for bit: it is _extremes2, the singularity rule and the pivoted
+    elimination of the 2x2 path, done elementwise with the same operations in
+    the same order.  ok[i] is False, and x[i] meaningless, when the rule
+    fails, when the squared entries leave the band in which _extremes2 runs
+    unscaled, or when an input or the result is non-finite (where this path
+    divides by zero, the scalar one raises ZeroDivisionError); the caller
+    takes such rows through the scalar path.
+    """
+    a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+    b0, b1 = b[:, 0], b[:, 1]
+    with np.errstate(all="ignore"):
+        fro2 = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+        d = a00 * a11 - a01 * a10
+        disc = fro2 * fro2 - 4.0 * d * d
+        smax = np.sqrt(0.5 * (fro2 + np.sqrt(np.where(disc > 0.0, disc, 0.0))))
+        smin = np.abs(d) / smax
+        ok = ((fro2 > 1e-150) & (fro2 < 1e150) & (smin > 0.0)
+              & (smax <= COND_LIMIT * smin) & np.isfinite(b).all(axis=1))
+        swap = np.abs(a10) > np.abs(a00)
+        p00, p01 = np.where(swap, a10, a00), np.where(swap, a11, a01)
+        p10, p11 = np.where(swap, a00, a10), np.where(swap, a01, a11)
+        q0, q1 = np.where(swap, b1, b0), np.where(swap, b0, b1)
+        l10 = p10 / p00
+        u11 = p11 - l10 * p01
+        x1 = (q1 - l10 * q0) / u11
+        x = np.stack(((q0 - p01 * x1) / p00, x1), axis=1)
+    ok &= np.isfinite(x).all(axis=1)
+    return x, ok
+
+
 def solve_dense(a, b) -> np.ndarray:
     """Solve A x = b for a square A, raising SingularError under the rule."""
     a = as_matrix(a)

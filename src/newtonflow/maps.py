@@ -58,6 +58,14 @@ class C1Map:
     - ``inv_jac(x)``      inverse Jacobian f'(x)^{-1}
     - ``field_origin(x)`` Newton field -f'(x)^{-1}(f(x) - f(0))
     - ``radial_origin(x)`` the scalar x . field_origin(x)
+
+    ``fn_rows`` and ``jac_rows`` are optional row forms of ``fn`` and
+    ``jac`` for sampled checks: they take an (N, dim) block of points and
+    return (N, dim) values and (N, dim, dim) Jacobians.  Row i must equal
+    ``fn(X[i])`` / ``jac(X[i])`` bit for bit wherever that is finite; a row
+    the form cannot compute may come back non-finite, and such rows, or a
+    whole block whose row form raises, go through ``fn`` / ``jac`` one by
+    one.  A map without them is evaluated row by row.
     """
 
     name: str
@@ -67,6 +75,8 @@ class C1Map:
     inv_jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     field_origin: Optional[Callable[[np.ndarray], np.ndarray]] = None
     radial_origin: Optional[Callable[[np.ndarray], float]] = None
+    fn_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jac_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def eval(self, x) -> np.ndarray:
         x = as_vector(x, self.dim)
@@ -74,6 +84,24 @@ class C1Map:
         if not np.all(np.isfinite(y)):
             raise NonFiniteError(self.name, x)
         return y
+
+    def eval_rows(self, block) -> np.ndarray:
+        """``eval`` of every row of an (N, dim) block, as one (N, dim) array.
+
+        Uses ``fn_rows`` when the map has one.  Without it, or when it raises
+        or yields a non-finite value, the rows go through ``eval`` one by
+        one, so the error raised is that of the first bad row.
+        """
+        block = np.asarray(block, dtype=float)
+        rows_fit = block.ndim == 2 and block.shape[1] == self.dim
+        if self.fn_rows is not None and rows_fit and np.isfinite(block).all():
+            try:
+                y = np.asarray(self.fn_rows(block), dtype=float)
+            except Exception:
+                y = None  # the row-by-row loop below raises the error in its place
+            if y is not None and np.isfinite(y).all():
+                return y
+        return np.array([self.eval(x) for x in block]).reshape(len(block), self.dim)
 
     def jacobian(self, x) -> np.ndarray:
         x = as_vector(x, self.dim)
@@ -105,7 +133,8 @@ class C1Map:
         """
         if self.jac is None:
             raise ValueError("map has no analytic Jacobian to perturb")
-        return replace(self, jac=partial(_scaled_jac, self.jac, 1.0 + eps))
+        jac_rows = None if self.jac_rows is None else partial(_scaled_jac, self.jac_rows, 1.0 + eps)
+        return replace(self, jac=partial(_scaled_jac, self.jac, 1.0 + eps), jac_rows=jac_rows)
 
 
 def _scaled_jac(jac, factor, x):
@@ -150,6 +179,36 @@ def _zampieri_jac(x):
     t = 1.0 + eta * eta
     c = math.exp(xi) / (t * math.sqrt(t))
     return np.array(((c * t, -c * eta), (c * eta * t, c)))
+
+
+# The row forms repeat the scalar expressions elementwise.  The exponential is
+# math.exp per element, because np.exp differs from it in the last bit on some
+# inputs; where math.exp overflows (and raises) the row gets inf instead.
+_EXP_MAX = math.log(np.finfo(float).max)
+
+
+def _exp_rows(v):
+    return np.array([math.exp(s) if s <= _EXP_MAX else math.inf for s in v.tolist()])
+
+
+def _zampieri_fn_rows(x):
+    xi, eta = x[:, 0], x[:, 1]
+    with np.errstate(all="ignore"):
+        c = _exp_rows(xi) / np.sqrt(1.0 + eta * eta)
+        return np.stack((c, c * eta), axis=1)
+
+
+def _zampieri_jac_rows(x):
+    xi, eta = x[:, 0], x[:, 1]
+    j = np.empty((len(x), 2, 2))
+    with np.errstate(all="ignore"):
+        t = 1.0 + eta * eta
+        c = _exp_rows(xi) / (t * np.sqrt(t))
+        j[:, 0, 0] = c * t
+        j[:, 0, 1] = -c * eta
+        j[:, 1, 0] = c * eta * t
+        j[:, 1, 1] = c
+    return j
 
 
 def _zampieri_inv_jac(x):
@@ -259,7 +318,8 @@ _REGISTRY: dict[str, MapRegistryEntry] = {e.key: e for e in (
         "Zampieri (1992), nonsurjective planar example",
         lambda: C1Map("zampieri-ex5", 2, _zampieri_fn, _zampieri_jac,
                       inv_jac=_zampieri_inv_jac, field_origin=_zampieri_field,
-                      radial_origin=_zampieri_radial),
+                      radial_origin=_zampieri_radial, fn_rows=_zampieri_fn_rows,
+                      jac_rows=_zampieri_jac_rows),
     ),
     MapRegistryEntry(
         "arctan1d", 1,

@@ -162,6 +162,16 @@ def test_verify_ex5_passes_and_detects_faults(capsys):
     assert "pipeline-oracle" in doc["failed"]
 
 
+def test_verify_ex5_zero_jacobian_fails_the_battery(capsys):
+    # 1 + eps = 0 makes every Jacobian singular: no point has a Newton field
+    code, out = _run(capsys, ["verify-ex5", "--samples", "200", "--grid-res", "11",
+                              "--positive-samples", "100", "--perturb-jacobian", "-1"])
+    assert code == 5
+    doc = json.loads(out)
+    assert "pipeline-oracle" in doc["failed"]
+    assert doc["checks"][0]["max_relative_deviation"] == "inf"
+
+
 def test_list_maps_one_json_object_per_line(capsys):
     code, out = _run(capsys, ["list-maps"])
     assert code == 0
@@ -220,6 +230,11 @@ def test_seeded_outputs_byte_identical(capsys):
     # a map option the chosen map does not take
     ["solve", "--map", "cubic1d", "--eps", "0.3", "--target", "10", "--start", "0"],
     ["solve", "--map", "zampieri-ex5", "--A", "1,0,0,1", "--target", "1,0", "--start", "1,1"],
+    # a Jacobian fault must be a finite factor
+    ["verify-ex5", "--perturb-jacobian", "nan"],
+    ["verify-ex5", "--perturb-jacobian", "inf"],
+    ["verify-ex5", "--perturb-jacobian", "1e400"],
+    ["verify-ex5", "--positive-samples", "0"],
 ])
 def test_bad_values_exit_one_without_traceback(capsys, argv):
     assert main(argv) == 1

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from newtonflow.flow import (
+    FIELD_BLOCK,
+    SAMPLE_ERRORS,
     Direction,
     FlowFailure,
     FlowOptions,
@@ -13,6 +15,7 @@ from newtonflow.flow import (
     direction_deviation,
     integrate,
     newton_field,
+    newton_fields,
     solve_inverse,
 )
 from newtonflow.maps import builtin
@@ -233,3 +236,82 @@ def test_ill_conditioned_linear_map_converges():
     m = builtin("linear", a=[[1.0, 1.0], [1.0, 1.01]])
     traj = integrate(m, (0.0, 0.0), (1.0, 2.0), FlowOptions(max_steps=5000))
     assert traj.status is FlowStatus.CONVERGED
+
+
+def _outcomes(pairs):
+    """(x bytes, F bytes or None) per yielded pair, then the type of the
+    exception that ended the iteration, if any."""
+    out = []
+    try:
+        for x, f_vec in pairs:
+            out.append((x.tobytes(), None if f_vec is None else f_vec.tobytes()))
+    except Exception as exc:
+        out.append(type(exc))
+    return out
+
+
+def _scalar_fields(m, pts, target):
+    for x in pts:
+        try:
+            f_vec = newton_field(m, x, target)
+        except SAMPLE_ERRORS:
+            f_vec = None
+        yield x, f_vec
+
+
+def _planar_points(n, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-6.0, 6.0, (n, 2))
+    pts[::7, 0] = rng.uniform(-800.0, 800.0, len(pts[::7]))   # math.exp over- and underflows
+    pts[::11, 1] *= 10.0 ** rng.uniform(0.0, 200.0, len(pts[::11]))
+    return pts
+
+
+@pytest.mark.parametrize("m", [
+    ZAMP,
+    ZAMP.with_perturbed_jacobian(1e-3),
+    ZAMP.with_perturbed_jacobian(-1.0),   # every Jacobian zero: all rows singular
+    builtin("rot-poly2d", eps=0.3),
+], ids=["zampieri-ex5", "perturbed-1e-3", "perturbed-minus-1", "rot-poly2d"])
+def test_newton_fields_match_newton_field_planar(m):
+    pts = _planar_points(2 * FIELD_BLOCK + 452, seed=31)
+    target = m.eval((0.2, -0.1))
+    got = _outcomes(newton_fields(m, pts, target))
+    assert got == _outcomes(_scalar_fields(m, pts, target))
+    assert len(got) == len(pts)
+    assert any(f is None for _, f in got)
+
+
+def test_newton_fields_take_the_block_path(monkeypatch):
+    import newtonflow.flow as flow_mod
+
+    calls = []
+    monkeypatch.setattr(flow_mod, "newton_field",
+                        lambda *args: calls.append(args) or newton_field(*args))
+    pts = np.random.default_rng(34).uniform(-6.0, 6.0, (FIELD_BLOCK + 10, 2))
+    pts[5] = (800.0, 0.0)   # math.exp overflows: this row alone leaves the block
+    got = list(newton_fields(ZAMP, pts, F_ORIGIN))
+    assert len(got) == len(pts) and got[5][1] is None
+    assert [args[1].tolist() for args in calls] == [[800.0, 0.0]]
+
+
+@pytest.mark.parametrize("m, dim", [
+    (builtin("cubic1d"), 1),
+    (builtin("exp1d"), 1),
+    (builtin("linear", a=[[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]]), 3),
+])
+def test_newton_fields_fall_back_to_newton_field(m, dim):
+    pts = np.random.default_rng(32).uniform(-800.0, 800.0, (1500, dim))
+    target = np.full(dim, 2.0)
+    assert _outcomes(newton_fields(m, pts, target)) == _outcomes(_scalar_fields(m, pts, target))
+
+
+def test_newton_fields_raise_where_the_point_loop_raises():
+    # f(x) - y* overflows to -inf in the second block: newton_field's input
+    # check raises ValueError, after the rows before it were yielded
+    pts = np.random.default_rng(33).uniform(-6.0, 6.0, (1600, 2))
+    pts[1500] = (709.5, 0.0)
+    target = (-1.7e308, 0.0)
+    got = _outcomes(newton_fields(ZAMP, pts, target))
+    assert got == _outcomes(_scalar_fields(ZAMP, pts, target))
+    assert got[-1] is ValueError and len(got) == 1501

@@ -3,9 +3,14 @@
 Each line of ``golden/certify.jsonl`` holds one argv, its exit code and its
 stdout with the timestamp masked.  Only maps of dimension <= 2 appear, whose
 linear algebra runs in closed form, so the bytes do not depend on the LAPACK
-build.  To record the file again from the current code, run
+build.  To record the commands of COMMANDS that the file does not hold yet, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+The recorder only appends: every line already in the file is kept as it is,
+so a recorded line cannot drift with the code.  Record new commands from the
+commit before the change they are meant to pin.  To re-record a line on
+purpose, delete it from the file first.
 """
 
 import contextlib
@@ -89,6 +94,17 @@ COMMANDS = [
     _B + ["rot-poly2d", "--x0", "0,0"],
     _B + ["linear", "--A", "2,1,0,3", "--x0", "0,0"],
     ["list-maps"],
+    # sampled fields across 1024-row block boundaries, with overflowing and
+    # singular samples that leave the batched path
+    _C + ["zampieri-ex5", "--criterion", "cor22", "--a", "1", "--b", "1",
+          "--grid", "-800,800,-800,800,41"],
+    _C + ["zampieri-ex5", "--criterion", "cor22", "--a", "1", "--b", "1", "--c", "1",
+          "--grid", "-5,5,-5,5,61"],
+    _C + ["zampieri-ex5", "--criterion", "thm21", "--k", "logcoercive",
+          "--grid", "-6,6,-6,6,41"],
+    _C + ["zampieri-ex5", "--criterion", "ball", "--r", "3", "--count", "2500"],
+    # the battery at its default size
+    ["verify-ex5", "--seed", "5"],
 ]
 
 
@@ -117,4 +133,8 @@ def test_golden_file_lists_every_command():
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("".join(json.dumps(_run(argv)) + "\n" for argv in COMMANDS))
+    have = [r["argv"] for r in _recorded()]
+    with GOLDEN.open("a") as fh:
+        for argv in COMMANDS:
+            if argv not in have:
+                fh.write(json.dumps(_run(argv)) + "\n")

@@ -3,6 +3,8 @@ import pytest
 
 from newtonflow.linalg import (
     SingularError,
+    _solve_raw,
+    _solve_rows,
     inverse_norm,
     operator_norm,
     solve_dense,
@@ -177,3 +179,42 @@ def test_condition_limit_rule(n):
         solve_dense(a, np.ones(n))
     with pytest.raises(SingularError):
         inverse_norm(a)
+
+
+def _solve_rows_cases():
+    """2x2 systems for the row solve: random at scales 10^-200..10^200,
+    rank-one, zero, and with non-finite entries in A or b."""
+    rng = np.random.default_rng(21)
+    n = 3000
+    scale = 10.0 ** rng.uniform(-200.0, 200.0, n)
+    a = rng.standard_normal((n, 2, 2)) * scale[:, None, None]
+    b = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-200.0, 200.0, (n, 1))
+    a[:200] = np.einsum("ni,nj->nij", rng.standard_normal((200, 2)),
+                        rng.standard_normal((200, 2))) * scale[:200, None, None]
+    a[200:210] = 0.0
+    bad = (np.nan, np.inf, -np.inf)
+    for i in range(210, 240):
+        a[i].flat[i % 4] = bad[i % 3]
+    for i in range(240, 260):
+        b[i, i % 2] = bad[i % 3]
+    a[260:1260] /= scale[260:1260, None, None]   # unit scale, mostly well conditioned
+    return a, b
+
+
+def test_solve_rows_matches_scalar_solve():
+    a, b = _solve_rows_cases()
+    x, ok = _solve_rows(a, b)
+    for i in range(len(a)):
+        try:
+            ref = _solve_raw(a[i], b[i])
+        except (SingularError, ArithmeticError):
+            ref = None
+        (a00, a01), (a10, a11) = a[i].tolist()
+        fro2 = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+        vouched = (ref is not None and np.isfinite(a[i]).all() and np.isfinite(b[i]).all()
+                   and 1e-150 < fro2 < 1e150 and np.isfinite(ref).all())
+        assert ok[i] == vouched, (i, a[i], b[i])
+        if ok[i]:
+            assert x[i].tobytes() == ref.tobytes(), (i, a[i], b[i])
+    # every kind of row is present: the bit-equal block path and all its exits
+    assert 1000 <= ok.sum() < len(a) - 300

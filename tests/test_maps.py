@@ -193,3 +193,74 @@ def test_maps_survive_pickle_round_trip():
         assert back.name == m.name
         assert back.eval(x).tobytes() == m.eval(x).tobytes()
         assert back.jacobian(x).tobytes() == m.jacobian(x).tobytes()
+        if m.jac_rows is not None:
+            assert back.fn_rows(x[None]).tobytes() == m.fn_rows(x[None]).tobytes()
+            assert back.jac_rows(x[None]).tobytes() == m.jac_rows(x[None]).tobytes()
+
+
+def _row_points(n, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-700.0, 700.0, (n, 2))
+    pts[::3] = rng.uniform(-8.0, 8.0, (len(pts[::3]), 2))
+    pts[::5, 1] *= 10.0 ** rng.uniform(0.0, 200.0, len(pts[::5]))
+    pts[::7, 0] = rng.uniform(709.0, 800.0, len(pts[::7]))   # past math.exp's overflow
+    return pts
+
+
+@pytest.mark.parametrize("m", [
+    builtin("zampieri-ex5"),
+    builtin("zampieri-ex5").with_perturbed_jacobian(1e-3),
+], ids=["zampieri-ex5", "perturbed"])
+def test_row_forms_equal_scalar_bytes(m):
+    pts = _row_points(4000, seed=41)
+    fy, jy = m.fn_rows(pts), m.jac_rows(pts)
+    assert fy.shape == (len(pts), 2) and jy.shape == (len(pts), 2, 2)
+    finite = 0
+    for i, x in enumerate(pts):
+        for rows, one in ((fy, m.fn), (jy, m.jac)):
+            try:
+                ref = one(x)
+            except OverflowError:
+                assert not np.isfinite(rows[i]).all()   # a row the form cannot compute
+                continue
+            assert rows[i].tobytes() == np.asarray(ref, dtype=float).tobytes(), x
+            finite += 1
+    assert finite > len(pts)
+
+
+def _row_loop(m, block):
+    return np.array([m.eval(x) for x in block])
+
+
+def test_eval_rows_matches_the_row_loop():
+    block = np.random.default_rng(42).uniform(-8.0, 8.0, (3000, 2))
+    for m in (builtin("zampieri-ex5"), builtin("rot-poly2d")):
+        assert m.eval_rows(block).tobytes() == _row_loop(m, block).tobytes()
+    cubic = builtin("cubic1d")
+    assert cubic.eval_rows(block[:, :1]).tobytes() == _row_loop(cubic, block[:, :1]).tobytes()
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_eval_rows_raises_like_the_row_loop():
+    # np.exp in both forms, so the rows are bit-equal: 800 and 900 overflow
+    m = C1Map("exp-rows", 1, lambda x: np.exp(x), fn_rows=lambda xs: np.exp(xs))
+    block = np.array([[0.0], [1.0], [800.0], [900.0]])
+    with np.errstate(over="ignore"):
+        got = _raised(lambda: m.eval_rows(block))
+        assert got == _raised(lambda: _row_loop(m, block))
+    assert got == (NonFiniteError, "map 'exp-rows' produced non-finite values at [800.0]")
+    # past its range zampieri's math.exp raises OverflowError, and so does eval_rows
+    zamp = builtin("zampieri-ex5")
+    block = np.array([[0.0, 1.0], [710.0, 0.0], [800.0, 0.0]])
+    assert _raised(lambda: zamp.eval_rows(block)) == _raised(lambda: _row_loop(zamp, block))
+    assert _raised(lambda: zamp.eval_rows(block))[0] is OverflowError
+    # malformed blocks fail as eval fails on their rows
+    assert _raised(lambda: zamp.eval_rows(np.ones((2, 3))))[0] is ValueError
+    assert _raised(lambda: zamp.eval_rows([[0.0, np.nan]]))[0] is ValueError
