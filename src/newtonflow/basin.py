@@ -30,6 +30,11 @@ from .maps import C1Map
 SCAN_OPTIONS = FlowOptions(abs_tol=1e-6, rel_tol=1e-6)
 
 
+def _centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centers of the n equal cells that split [lo, hi]."""
+    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
 @dataclass(frozen=True)
 class BasinGrid:
     """Per-cell flow outcomes on a rectangular grid of seed points.
@@ -48,13 +53,11 @@ class BasinGrid:
 
     @property
     def cx(self) -> np.ndarray:
-        xmin, xmax, _, _ = self.box
-        return xmin + (np.arange(self.nx) + 0.5) * (xmax - xmin) / self.nx
+        return _centers(*self.box[:2], self.nx)
 
     @property
     def cy(self) -> np.ndarray:
-        _, _, ymin, ymax = self.box
-        return ymin + (np.arange(self.ny) + 0.5) * (ymax - ymin) / self.ny
+        return _centers(*self.box[2:], self.ny)
 
     def status_counts(self) -> dict:
         counts: dict[str, int] = {}
@@ -122,9 +125,8 @@ def scan_basin(
     opts = opts or SCAN_OPTIONS
     target = m.eval(x0)
 
-    cx = xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx
-    cy = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
-    centers = [np.array((x, y)) for x in cx for y in cy]
+    centers = [np.array((x, y))
+               for x in _centers(xmin, xmax, nx) for y in _centers(ymin, ymax, ny)]
     scan = functools.partial(_scan_cell, m, target=target, opts=opts)
 
     if workers is None:

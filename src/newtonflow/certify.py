@@ -205,6 +205,12 @@ def dplus(aux: AuxFunction, x, v) -> float:
     return float(2.0 * d2 - d1)
 
 
+def _check_constants(*constants) -> None:
+    # written so that NaN fails too
+    if not all(0.0 <= v < math.inf for v in constants):
+        raise ValueError("constants must be finite and nonnegative")
+
+
 def aux_log_h(a: float, b: float, c: float, x0, x1, m: C1Map) -> AuxFunction:
     """ln(a/b + ||x-x1||^2 + c/(b-2) ||f(x)-f(x0)||^2), constants normalized.
 
@@ -212,8 +218,7 @@ def aux_log_h(a: float, b: float, c: float, x0, x1, m: C1Map) -> AuxFunction:
     (a+b+3, b+3); the replacement preserves the quadratic-growth inequality
     the function is paired with while making b - 2 positive.
     """
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("constants must be nonnegative")
+    _check_constants(a, b, c)
     a0, b0 = a, b
     normalized = not (a >= b > 2.0)
     if normalized:
@@ -495,8 +500,7 @@ def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
     sample violates when it exceeds the right side by more than
     POINT_SLACK*(1+|rhs|).
     """
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("constants must be nonnegative")
+    _check_constants(a, b, c)
     x0 = as_vector(x0, m.dim)
     x1 = as_vector(x1, m.dim)
     f0 = m.eval(x0)
@@ -567,10 +571,10 @@ class OmegaPoly:
 
     def __init__(self, coeffs: Sequence[float]):
         coeffs = tuple(float(c) for c in coeffs)
-        if not coeffs or coeffs[0] <= 0.0:
+        if not coeffs or not coeffs[0] > 0.0:
             raise ValueError("omega needs a positive constant term")
-        if any(c < 0.0 for c in coeffs):
-            raise ValueError("omega coefficients must be nonnegative")
+        if not all(0.0 <= c < math.inf for c in coeffs):
+            raise ValueError("omega coefficients must be finite and nonnegative")
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
         self.coeffs = coeffs
@@ -665,6 +669,8 @@ def check_coercive_map(m: C1Map, radii: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 1
     radii = tuple(float(r) for r in radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
+    if not 0.0 < growth_factor < math.inf:  # NaN fails too
+        raise ValueError("growth_factor must be positive and finite")
 
     def norm_f(p):
         try:

@@ -10,6 +10,12 @@ Conventions:
 - results are JSON on stdout (or ``--out``), with a ``schema`` version and a
   ``timestamp`` field; everything else is byte-reproducible given ``--seed``.
 
+Flow: one table gives each option its default text and its parser; the
+resolved config is parsed once, the subcommand maps the parsed options to a
+(document, exit code) pair and the document is emitted once.  Bad values,
+points where the map cannot be evaluated and unusable files end there as
+``error: ...`` with exit code 1.
+
 Exit codes: 0 success/satisfied, 1 configuration error, 2 flow failure,
 3 certificate violated, 4 inconclusive, 5 verification battery failure.
 """
@@ -36,6 +42,7 @@ from .certify import (
 )
 from .flow import (
     FIELD_BLOCK,
+    SAMPLE_ERRORS,
     FlowOptions,
     FlowStatus,
     _newton_polish,
@@ -62,76 +69,167 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# --- option grammar ----------------------------------------------------------
+# --- value parsers -----------------------------------------------------------
+# Each takes an option's text and returns its value or raises ValueError.
+
+
+def _floats(text: str) -> list[float]:
+    return [float(t) for t in text.split(",") if t.strip() != ""]
+
+
+def _vec(text: str) -> np.ndarray:
+    vals = _floats(text)
+    if not vals:
+        raise ValueError("must not be empty")
+    return np.array(vals)
+
+
+def _matrix(text: str) -> np.ndarray:
+    vals = _floats(text)
+    n = math.isqrt(len(vals))
+    if n * n != len(vals):
+        raise ValueError(f"matrix needs a square number of entries, got {len(vals)}")
+    return np.array(vals).reshape(n, n)
+
+
+def _box(text: str) -> list[float]:
+    box = _floats(text)
+    if len(box) != 4:
+        raise ValueError("needs xmin,xmax,ymin,ymax")
+    return box
+
+
+def _res(text: str) -> int | tuple:
+    vals = [int(v) for v in text.split(",")]
+    return vals[0] if len(vals) == 1 else tuple(vals[:2])
+
+
+def _grid(text: str) -> tuple[list[float], int]:
+    *bounds, res = _vec(text)
+    return bounds, int(res)
+
+
+def _radius_count(text: str) -> tuple[float, int]:
+    vals = _floats(text)
+    if len(vals) != 2:
+        raise ValueError("needs radius,count")
+    return vals[0], int(vals[1])
+
+
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {text}")
+    return v
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
+
+
+def _choice(*names):
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected one of {' | '.join(names)}, got {text!r}")
+        return text
+    return parse
+
+
+_OMEGA_SIZES = {"const": 1, "affine": 2, "poly": None}
+
+
+def _omega(text: str) -> OmegaPoly:
+    tag, _, body = text.partition(":")
+    if tag not in _OMEGA_SIZES:
+        raise ValueError(f"must look like const:c, affine:a,b or poly:c0,c1,c2 (got {text!r})")
+    coeffs = _floats(body)
+    if _OMEGA_SIZES[tag] not in (None, len(coeffs)):
+        raise ValueError(f"{tag} takes {_OMEGA_SIZES[tag]} coefficient(s)")
+    return OmegaPoly(coeffs)
+
+
+# --- option table ------------------------------------------------------------
+# (name, default text, help, parser).  A default of None makes the option
+# required; an option whose default is "" is None when its text is empty.
 
 _COMMON = [
-    ("seed", "0", "seed for every randomized component"),
-    ("out", "", "write the JSON result here instead of stdout"),
+    ("seed", "0", "seed for every randomized component", int),
+    ("out", "", "write the JSON result here instead of stdout", str),
 ]
 
 _MAP_FIELDS = [
-    ("map", None, "registry key (see list-maps)"),
-    ("dim", "", "dimension, for maps that take one"),
-    ("A", "", "row-major matrix for --map linear"),
-    ("eps", "", "cubic coefficient for --map rot-poly2d"),
+    ("map", None, "registry key (see list-maps)", str),
+    ("dim", "", "dimension, for maps that take one", int),
+    ("A", "", "row-major matrix for --map linear", _matrix),
+    ("eps", "", "cubic coefficient for --map rot-poly2d", float),
 ]
 
 _FLOW_FIELDS = [
-    ("abs-tol", "1e-10", "integrator absolute tolerance"),
-    ("rel-tol", "1e-10", "integrator relative tolerance"),
-    ("t-max", "40", "flow-time horizon"),
-    ("blowup-radius", "1e8", "norm threshold for blow-up"),
-    ("residual-tol", "1e-9", "convergence threshold on ||f(x)-y*||"),
-    ("max-steps", "100000", "step-attempt budget"),
+    ("abs-tol", "1e-10", "integrator absolute tolerance", float),
+    ("rel-tol", "1e-10", "integrator relative tolerance", float),
+    ("t-max", "40", "flow-time horizon", float),
+    ("blowup-radius", "1e8", "norm threshold for blow-up", float),
+    ("residual-tol", "1e-9", "convergence threshold on ||f(x)-y*||", float),
+    ("max-steps", "100000", "step-attempt budget", int),
 ]
 
 _FIELDS = {
     "solve": _MAP_FIELDS + [
-        ("target", None, "target vector y*"),
-        ("start", None, "initial point"),
-        ("traj", "", "also write the trajectory CSV here"),
+        ("target", None, "target vector y*", _vec),
+        ("start", None, "initial point", _vec),
+        ("traj", "", "also write the trajectory CSV here", str),
     ] + _FLOW_FIELDS + _COMMON,
     "certify": _MAP_FIELDS + [
         ("criterion", None,
-         "thm21 | cor22 | thm31 | hadamard | coercive | ball | inverse-bound"),
-        ("a", "0", "constant a"),
-        ("b", "0", "constant b"),
-        ("c", "0", "constant c"),
-        ("x0", "", "base point x0 (defaults to the origin)"),
-        ("x1", "", "center x1 (defaults to the origin)"),
-        ("k", "logh", "auxiliary function: logh | hadamard | logcoercive"),
-        ("omega", "", "growth bound, e.g. const:1, affine:1,2, poly:1,0,1"),
-        ("grid", "", "grid sampler: lo,hi per axis then resolution"),
-        ("ball", "", "ball sampler: radius,count"),
-        ("sphere", "", "sphere sampler: radius,count"),
-        ("radii", "", "sphere radii for coercive/hadamard evidence"),
-        ("spc", "128", "samples per sphere (coercive)"),
-        ("dirs", "16", "random directions (thm31)"),
-        ("r", "1", "ball/sphere radius (ball, inverse-bound)"),
-        ("count", "512", "sample count (ball, inverse-bound)"),
-        ("growth-factor", "10", "required growth of min ||f|| (coercive)"),
+         "thm21 | cor22 | thm31 | hadamard | coercive | ball | inverse-bound",
+         _choice("thm21", "cor22", "thm31", "hadamard", "coercive", "ball", "inverse-bound")),
+        ("a", "0", "constant a", float),
+        ("b", "0", "constant b", float),
+        ("c", "0", "constant c", float),
+        ("x0", "", "base point x0 (defaults to the origin)", _vec),
+        ("x1", "", "center x1 (defaults to the origin)", _vec),
+        ("k", "logh", "auxiliary function: logh | hadamard | logcoercive",
+         _choice("logh", "hadamard", "logcoercive")),
+        ("omega", "", "growth bound, e.g. const:1, affine:1,2, poly:1,0,1", _omega),
+        ("grid", "", "grid sampler: lo,hi per axis then resolution", _grid),
+        ("ball", "", "ball sampler: radius,count", _radius_count),
+        ("sphere", "", "sphere sampler: radius,count", _radius_count),
+        ("radii", "", "sphere radii for coercive/hadamard evidence", _floats),
+        ("spc", "128", "samples per sphere (coercive)", int),
+        ("dirs", "16", "random directions (thm31)", int),
+        ("r", "1", "ball/sphere radius (ball, inverse-bound)", float),
+        ("count", "512", "sample count (ball, inverse-bound)", int),
+        ("growth-factor", "10", "required growth of min ||f|| (coercive)", float),
     ] + _COMMON,
     "basin": _MAP_FIELDS + [
-        ("x0", None, "flow target seed point"),
-        ("box", "-4,4,-4,4", "scan box xmin,xmax,ymin,ymax"),
-        ("res", "101", "grid resolution (nx or nx,ny)"),
-        ("workers", "", "process pool size (default: CPU count)"),
-        ("format", "csv", "grid export format: csv | json"),
-        ("probe", "0", "injectivity probe pairs (0 = off)"),
-        ("grid-out", "", "write the per-cell grid here"),
+        ("x0", None, "flow target seed point", _vec),
+        ("box", "-4,4,-4,4", "scan box xmin,xmax,ymin,ymax", _box),
+        ("res", "101", "grid resolution (nx or nx,ny)", _res),
+        ("workers", "", "process pool size (default: CPU count)", int),
+        ("format", "csv", "grid export format: csv | json", _choice("csv", "json")),
+        ("probe", "0", "injectivity probe pairs (0 = off)", int),
+        ("grid-out", "", "write the per-cell grid here", str),
     ] + [
         # scans run at the looser scan tolerances
-        (name, "1e-6" if name in ("abs-tol", "rel-tol") else default, help_text)
-        for name, default, help_text in _FLOW_FIELDS
+        (name, "1e-6" if name in ("abs-tol", "rel-tol") else default, help_text, parse)
+        for name, default, help_text, parse in _FLOW_FIELDS
     ] + _COMMON,
     "verify-ex5": [
-        ("samples", "10000", "points for the pipeline-vs-closed-form oracle"),
-        ("grid-res", "201", "resolution of the growth-inequality grid"),
-        ("positive-samples", "100000", "points for the range-sign witness"),
-        ("perturb-jacobian", "0", "fault-injection: scale the Jacobian by 1+eps"),
+        ("samples", "10000", "points for the pipeline-vs-closed-form oracle", int),
+        ("grid-res", "201", "resolution of the growth-inequality grid", int),
+        ("positive-samples", "100000", "points for the range-sign witness", _positive_int),
+        ("perturb-jacobian", "0", "fault-injection: scale the Jacobian by 1+eps", _finite),
     ] + _COMMON,
     "list-maps": [],
 }
+
+
+def _key(name: str) -> str:
+    """The attribute that holds option ``--name`` in parsed options."""
+    return name.replace("-", "_")
 
 
 @dataclass(frozen=True)
@@ -152,7 +250,7 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        command = None
+        command = ""
         values = {}
         for ln, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -165,113 +263,79 @@ class RunConfig:
                 command = val
             else:
                 values[key] = val
-        if command is None:
-            command = ""
         return cls(command, values)
 
 
 def _resolve(command: str, cli_values: dict, config_values: dict) -> RunConfig:
     values = {}
-    for name, default, _help in _FIELDS[command]:
-        v = cli_values.get(name)
+    for name, default, *_ in _FIELDS[command]:
+        v = cli_values.get(_key(name))
         if v is None:
-            v = config_values.get(name)
-        if v is None:
-            v = default
+            v = config_values.get(name, default)
         if v is None:
             raise UsageError(f"missing required option --{name}")
         values[name] = v
     return RunConfig(command, values)
 
 
-# --- value parsing -----------------------------------------------------------
+def _parse(cfg: RunConfig) -> argparse.Namespace:
+    """Every option of the config through its parser, once."""
+    opts = argparse.Namespace()
+    for name, default, _help, parse in _FIELDS[cfg.command]:
+        text = cfg.values[name]
+        try:
+            value = None if text == "" == default else parse(text)
+        except (ValueError, OverflowError) as e:
+            raise UsageError(f"--{name}: {e}") from None
+        setattr(opts, _key(name), value)
+    return opts
 
 
-def _floats(text: str, what: str) -> list[float]:
+# --- building from parsed options --------------------------------------------
+
+
+def _build_map(o):
+    params = {k: v for k, v in (("a", o.A), ("eps", o.eps)) if v is not None}
     try:
-        return [float(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError:
-        raise UsageError(f"cannot parse {what}: {text!r}") from None
-
-
-def _vec(text: str, what: str) -> np.ndarray:
-    vals = _floats(text, what)
-    if not vals:
-        raise UsageError(f"{what} must not be empty")
-    return np.array(vals)
-
-
-def _matrix(text: str) -> np.ndarray:
-    vals = _floats(text, "matrix")
-    n = math.isqrt(len(vals))
-    if n * n != len(vals):
-        raise UsageError(f"matrix needs a square number of entries, got {len(vals)}")
-    return np.array(vals).reshape(n, n)
-
-
-def _omega(text: str) -> OmegaPoly:
-    if ":" not in text:
-        raise UsageError(f"omega must look like const:c, affine:a,b or poly:c0,c1,c2 (got {text!r})")
-    tag, body = text.split(":", 1)
-    coeffs = _floats(body, "omega coefficients")
-    if tag not in ("const", "affine", "poly"):
-        raise UsageError(f"unknown omega family {tag!r}")
-    if tag == "const" and len(coeffs) != 1:
-        raise UsageError("const takes one coefficient")
-    if tag == "affine" and len(coeffs) != 2:
-        raise UsageError("affine takes two coefficients")
-    return OmegaPoly(coeffs)
-
-
-def _build_map(cfg: RunConfig):
-    key = cfg.values["map"]
-    kwargs = {}
-    if cfg.values.get("A"):
-        kwargs["a"] = _matrix(cfg.values["A"])
-    if cfg.values.get("eps"):
-        kwargs["eps"] = float(cfg.values["eps"])
-    dim = int(cfg.values["dim"]) if cfg.values.get("dim") else None
-    try:
-        return builtin(key, dim=dim, **kwargs)
+        return builtin(o.map, dim=o.dim, **params)
     except UnknownMapError:
-        raise UsageError(f"unknown map {key!r}; see list-maps") from None
+        raise UsageError(f"unknown map {o.map!r}; see list-maps") from None
     except TypeError as e:  # a parameter the map does not take
         raise UsageError(str(e)) from None
 
 
-def _flow_options(cfg: RunConfig) -> FlowOptions:
-    v = cfg.values
-    return FlowOptions(
-        abs_tol=float(v["abs-tol"]),
-        rel_tol=float(v["rel-tol"]),
-        t_max=float(v["t-max"]),
-        blowup_radius=float(v["blowup-radius"]),
-        residual_tol=float(v["residual-tol"]),
-        max_steps=int(v["max-steps"]),
-    )
+def _flow_opts(o) -> FlowOptions:
+    return FlowOptions(**{_key(name): getattr(o, _key(name)) for name, *_ in _FLOW_FIELDS})
 
 
-def _sampler(cfg: RunConfig, dim: int, seed: int):
-    chosen = [name for name in ("grid", "ball", "sphere") if cfg.values.get(name)]
-    if len(chosen) > 1:
+def _sampler(o, dim: int):
+    if sum(getattr(o, name) is not None for name in ("grid", "ball", "sphere")) > 1:
         raise UsageError("give at most one of --grid/--ball/--sphere")
-    if not chosen:
-        return BallSampler(5.0, 2000, seed=seed)
-    kind = chosen[0]
-    vals = _floats(cfg.values[kind], f"{kind} sampler")
-    if kind == "grid":
-        if len(vals) != 2 * dim + 1:
+    if o.grid is not None:
+        bounds, res = o.grid
+        if len(bounds) != 2 * dim:
             raise UsageError(
                 f"--grid needs lo,hi per axis plus a resolution ({2 * dim + 1} "
                 f"numbers for dim {dim})"
             )
-        box = tuple((vals[2 * i], vals[2 * i + 1]) for i in range(dim))
-        return GridSampler(box, int(vals[-1]))
-    if len(vals) != 2:
-        raise UsageError(f"--{kind} needs radius,count")
-    if kind == "ball":
-        return BallSampler(vals[0], int(vals[1]), seed=seed)
-    return SphereSampler(vals[0], int(vals[1]), seed=seed)
+        return GridSampler(tuple(zip(bounds[::2], bounds[1::2])), res)
+    if o.sphere is not None:
+        return SphereSampler(*o.sphere, seed=o.seed)
+    return BallSampler(*(o.ball or (5.0, 2000)), seed=o.seed)
+
+
+def _needs_omega(o, what: str) -> OmegaPoly:
+    if o.omega is None:
+        raise UsageError(f"{what} needs --omega")
+    return o.omega
+
+
+def _aux(o, m, x0, x1):
+    if o.k == "logh":
+        return certify_mod.aux_log_h(o.a, o.b, o.c, x0, x1, m)
+    if o.k == "hadamard":
+        return certify_mod.aux_hadamard(_needs_omega(o, "--k hadamard"))
+    return certify_mod.aux_log_coercive(m)
 
 
 # --- output ------------------------------------------------------------------
@@ -288,11 +352,14 @@ def _strict(v):
     return v
 
 
-def _emit(doc: dict, out_path: str) -> None:
-    doc = dict(doc)
-    doc["schema"] = SCHEMA
-    doc["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    text = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _emit(doc, out_path: str | None) -> None:
+    """A dict becomes one stamped JSON document; a list, one object per line."""
+    if isinstance(doc, list):
+        text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in doc)
+    else:
+        doc = dict(doc, schema=SCHEMA,
+                   timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"))
+        text = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -300,150 +367,77 @@ def _emit(doc: dict, out_path: str) -> None:
         sys.stdout.write(text)
 
 
-# --- subcommands -------------------------------------------------------------
+# --- subcommands: parsed options -> (document, exit code) ---------------------
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    m = _build_map(cfg)
-    target = _vec(cfg.values["target"], "--target")
-    start = _vec(cfg.values["start"], "--start")
-    opts = _flow_options(cfg)
+def cmd_solve(o):
+    m = _build_map(o)
+    traj = integrate(m, o.start, o.target, _flow_opts(o))
+    if o.traj:
+        traj.to_csv(o.traj)
 
-    traj = integrate(m, start, target, opts)
-    if cfg.values.get("traj"):
-        traj.to_csv(cfg.values["traj"])
+    doc = {
+        "command": "solve",
+        "map": m.name,
+        "status": traj.status.value,
+        "steps": traj.steps,
+        "t_final": traj.t_final,
+        "seed": o.seed,
+    }
+    if traj.status is not FlowStatus.CONVERGED:
+        doc["final_x"] = [float(v) for v in traj.final_state]
+        doc["final_residual"] = traj.final_residual_norm
+        return doc, 2
+    x = _newton_polish(m, traj.final_state, o.target)
+    doc["x"] = [float(v) for v in x]
+    doc["residual"] = float(np.linalg.norm(m.eval(x) - o.target))
+    doc["max_drift"] = decay_drift(traj)
+    return doc, 0
 
-    if traj.status is FlowStatus.CONVERGED:
-        x = _newton_polish(m, traj.final_state, target)
-        residual = float(np.linalg.norm(m.eval(x) - target))
-        _emit(
-            {
-                "command": "solve",
-                "map": m.name,
-                "status": traj.status.value,
-                "x": [float(v) for v in x],
-                "residual": residual,
-                "steps": traj.steps,
-                "t_final": traj.t_final,
-                "max_drift": decay_drift(traj),
-                "seed": int(cfg.values["seed"]),
-            },
-            cfg.values["out"],
-        )
-        return 0
-    _emit(
-        {
-            "command": "solve",
+
+def cmd_certify(o):
+    m = _build_map(o)
+    seed = o.seed
+    x0 = np.zeros(m.dim) if o.x0 is None else o.x0
+    x1 = np.zeros(m.dim) if o.x1 is None else o.x1
+
+    if o.criterion == "inverse-bound":
+        sup = certify_mod.check_bounded_inverse_on_ball(m, o.r, count=o.count, seed=seed)
+        return {
+            "command": "certify",
             "map": m.name,
-            "status": traj.status.value,
-            "final_x": [float(v) for v in traj.final_state],
-            "final_residual": traj.final_residual_norm,
-            "steps": traj.steps,
-            "t_final": traj.t_final,
-            "seed": int(cfg.values["seed"]),
-        },
-        cfg.values["out"],
-    )
-    return 2
-
-
-def _aux_from_config(cfg: RunConfig, m, x0, x1, seed: int):
-    kind = cfg.values["k"]
-    if kind == "logh":
-        return certify_mod.aux_log_h(
-            float(cfg.values["a"]), float(cfg.values["b"]), float(cfg.values["c"]),
-            x0, x1, m,
-        )
-    if kind == "hadamard":
-        if not cfg.values.get("omega"):
-            raise UsageError("--k hadamard needs --omega")
-        return certify_mod.aux_hadamard(_omega(cfg.values["omega"]))
-    if kind == "logcoercive":
-        return certify_mod.aux_log_coercive(m)
-    raise UsageError(f"unknown auxiliary function {kind!r}")
-
-
-def cmd_certify(cfg: RunConfig) -> int:
-    m = _build_map(cfg)
-    seed = int(cfg.values["seed"])
-    criterion = cfg.values["criterion"]
-    zeros = "0," * (m.dim - 1) + "0"
-    x0 = _vec(cfg.values.get("x0") or zeros, "--x0")
-    x1 = _vec(cfg.values.get("x1") or zeros, "--x1")
-    radii = _floats(cfg.values["radii"], "--radii") if cfg.values.get("radii") else None
-
-    if criterion == "thm21":
-        aux = _aux_from_config(cfg, m, x0, x1, seed)
-        cert = certify_mod.check_theorem21(m, x0, aux, _sampler(cfg, m.dim, seed), seed=seed)
-    elif criterion == "cor22":
-        cert = certify_mod.check_cor22(
-            m, x0, x1,
-            float(cfg.values["a"]), float(cfg.values["b"]), float(cfg.values["c"]),
-            _sampler(cfg, m.dim, seed), seed=seed,
-        )
-    elif criterion == "thm31":
-        aux = _aux_from_config(cfg, m, x0, x1, seed)
-        cert = certify_mod.check_theorem31(
-            m, aux, _sampler(cfg, m.dim, seed),
-            n_dirs=int(cfg.values["dirs"]), seed=seed,
-        )
-    elif criterion == "hadamard":
-        if not cfg.values.get("omega"):
-            raise UsageError("--criterion hadamard needs --omega")
-        cert = certify_mod.check_hadamard(
-            m, _omega(cfg.values["omega"]), _sampler(cfg, m.dim, seed),
-            radii=radii, seed=seed,
-        )
-    elif criterion == "coercive":
+            "criterion": "inverse-bound",
+            "value": sup.value,
+            "witness": None if sup.witness is None else [float(v) for v in sup.witness],
+            "samples_used": sup.samples_used,
+            "seed": seed,
+        }, 0
+    if o.criterion == "thm21":
+        aux = _aux(o, m, x0, x1)
+        cert = certify_mod.check_theorem21(m, x0, aux, _sampler(o, m.dim), seed=seed)
+    elif o.criterion == "cor22":
+        cert = certify_mod.check_cor22(m, x0, x1, o.a, o.b, o.c, _sampler(o, m.dim), seed=seed)
+    elif o.criterion == "thm31":
+        aux = _aux(o, m, x0, x1)
+        cert = certify_mod.check_theorem31(m, aux, _sampler(o, m.dim), n_dirs=o.dirs, seed=seed)
+    elif o.criterion == "hadamard":
+        omega = _needs_omega(o, "--criterion hadamard")
+        cert = certify_mod.check_hadamard(m, omega, _sampler(o, m.dim), radii=o.radii, seed=seed)
+    elif o.criterion == "coercive":
         cert = certify_mod.check_coercive_map(
-            m, radii=radii or (1.0, 2.0, 4.0, 8.0, 16.0),
-            samples_per_sphere=int(cfg.values["spc"]), seed=seed,
-            growth_factor=float(cfg.values["growth-factor"]),
+            m, radii=o.radii or (1.0, 2.0, 4.0, 8.0, 16.0), samples_per_sphere=o.spc,
+            seed=seed, growth_factor=o.growth_factor,
         )
-    elif criterion == "ball":
-        cert = certify_mod.check_ball_criterion(
-            m, x0, float(cfg.values["r"]), int(cfg.values["count"]), seed=seed,
-        )
-    elif criterion == "inverse-bound":
-        sup = certify_mod.check_bounded_inverse_on_ball(
-            m, float(cfg.values["r"]), count=int(cfg.values["count"]), seed=seed,
-        )
-        _emit(
-            {
-                "command": "certify",
-                "map": m.name,
-                "criterion": "inverse-bound",
-                "value": sup.value,
-                "witness": None if sup.witness is None else [float(v) for v in sup.witness],
-                "samples_used": sup.samples_used,
-                "seed": seed,
-            },
-            cfg.values["out"],
-        )
-        return 0
-    else:
-        raise UsageError(f"unknown criterion {criterion!r}")
-
-    doc = {"command": "certify", "map": m.name}
-    doc.update(cert.to_json_dict())
-    _emit(doc, cfg.values["out"])
-    return _VERDICT_EXIT[cert.verdict]
+    else:  # ball
+        cert = certify_mod.check_ball_criterion(m, x0, o.r, o.count, seed=seed)
+    return {"command": "certify", "map": m.name, **cert.to_json_dict()}, _VERDICT_EXIT[cert.verdict]
 
 
-def cmd_basin(cfg: RunConfig) -> int:
-    m = _build_map(cfg)
-    x0 = _vec(cfg.values["x0"], "--x0")
-    box = _floats(cfg.values["box"], "--box")
-    if len(box) != 4:
-        raise UsageError("--box needs xmin,xmax,ymin,ymax")
-    res_vals = [int(v) for v in cfg.values["res"].split(",")]
-    res = res_vals[0] if len(res_vals) == 1 else tuple(res_vals[:2])
-    workers = int(cfg.values["workers"]) if cfg.values.get("workers") else None
-    opts = _flow_options(cfg)
-
-    grid = basin_mod.scan_basin(m, x0, box, res, opts=opts, workers=workers)
-    if cfg.values.get("grid-out"):
-        basin_mod.export_grid(grid, cfg.values["grid-out"], cfg.values["format"])
+def cmd_basin(o):
+    m = _build_map(o)
+    grid = basin_mod.scan_basin(m, o.x0, o.box, o.res, opts=_flow_opts(o), workers=o.workers)
+    if o.grid_out:
+        basin_mod.export_grid(grid, o.grid_out, o.format)
 
     doc = {
         "command": "basin",
@@ -452,36 +446,27 @@ def cmd_basin(cfg: RunConfig) -> int:
         "nx": grid.nx,
         "ny": grid.ny,
         "counts": grid.status_counts(),
-        "seed": int(cfg.values["seed"]),
-        "grid_out": cfg.values.get("grid-out") or None,
+        "seed": o.seed,
+        "grid_out": o.grid_out,
     }
-    pairs = int(cfg.values["probe"])
-    if pairs > 0:
-        rep = basin_mod.injectivity_probe(grid, m, pairs=pairs, seed=int(cfg.values["seed"]))
+    if o.probe > 0:
+        rep = basin_mod.injectivity_probe(grid, m, pairs=o.probe, seed=o.seed)
         doc["injectivity"] = rep.to_json_dict()
-    _emit(doc, cfg.values["out"])
-    return 0
+    return doc, 0
 
 
-def cmd_verify_ex5(cfg: RunConfig) -> int:
+def cmd_verify_ex5(o):
     """Run the end-to-end battery for the planar oracle map."""
-    seed = int(cfg.values["seed"])
-    perturb = float(cfg.values["perturb-jacobian"])
-    if not math.isfinite(perturb):
-        raise UsageError(f"perturb-jacobian must be finite, got {cfg.values['perturb-jacobian']}")
-    n_pos = int(cfg.values["positive-samples"])
-    if n_pos < 1:
-        raise UsageError("positive-samples must be >= 1")
+    seed = o.seed
     m = builtin("zampieri-ex5")
-    probe_map = m.with_perturbed_jacobian(perturb) if perturb != 0.0 else m
+    probe_map = m.with_perturbed_jacobian(o.perturb_jacobian) if o.perturb_jacobian != 0.0 else m
     f0 = m.eval((0.0, 0.0))
     checks = []
 
     # 1. pipeline (dense solve) against the closed-form radial product; a
     # point without a field (a degenerate perturbation) deviates without bound
-    n = int(cfg.values["samples"])
     worst = 0.0
-    for x, f_vec in newton_fields(probe_map, BallSampler(5.0, n, seed=seed).points(2), f0):
+    for x, f_vec in newton_fields(probe_map, BallSampler(5.0, o.samples, seed=seed).points(2), f0):
         if f_vec is None:
             worst = math.inf
             continue
@@ -492,24 +477,24 @@ def cmd_verify_ex5(cfg: RunConfig) -> int:
         "name": "pipeline-oracle",
         "passed": bool(worst <= 1e-9),
         "max_relative_deviation": worst,
-        "samples": n,
+        "samples": o.samples,
     })
 
     # 2. the quadratic growth inequality on the grid
-    res = int(cfg.values["grid-res"])
     cert = certify_mod.check_cor22(
         probe_map, (0, 0), (0, 0), 1.0, 1.0, 0.0,
-        GridSampler(((-5, 5), (-5, 5)), res), seed=seed,
+        GridSampler(((-5, 5), (-5, 5)), o.grid_res), seed=seed,
     )
     checks.append({
         "name": "quadratic-growth-grid",
         "passed": bool(cert.verdict is Verdict.SATISFIED),
         "verdict": cert.verdict.value,
         "violations": cert.stats.get("violations"),
-        "grid_res": res,
+        "grid_res": o.grid_res,
     })
 
     # 3. non-surjectivity witness: the first component stays positive
+    n_pos = o.positive_samples
     rng2 = np.random.default_rng(seed + 1)
     pts = rng2.uniform(-8.0, 8.0, size=(n_pos, 2))
     min_first = min(min(m.eval_rows(pts[lo:lo + FIELD_BLOCK])[:, 0].tolist())
@@ -553,19 +538,16 @@ def cmd_verify_ex5(cfg: RunConfig) -> int:
         "map": "zampieri-ex5",
         "checks": checks,
         "sign_profile": profile,
-        "perturb_jacobian": perturb,
+        "perturb_jacobian": o.perturb_jacobian,
         "ok": not failed,
         "failed": failed,
         "seed": seed,
     }
-    _emit(doc, cfg.values["out"])
-    return 0 if not failed else 5
+    return doc, 0 if not failed else 5
 
 
-def cmd_list_maps(cfg: RunConfig) -> int:
-    for entry in list_maps():
-        sys.stdout.write(json.dumps(entry, sort_keys=True) + "\n")
-    return 0
+def cmd_list_maps(o):
+    return list_maps(), 0
 
 
 # --- driver ------------------------------------------------------------------
@@ -577,7 +559,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command")
     for command, fields in _FIELDS.items():
         sp = sub.add_parser(command, help=f"{command} subcommand")
-        for name, default, help_text in fields:
+        for name, default, help_text, _ in fields:
             suffix = "" if default in (None, "") else f" (default: {default})"
             sp.add_argument(f"--{name}", default=None, help=help_text + suffix)
         sp.add_argument("--config", default=None,
@@ -587,7 +569,7 @@ def _build_parser() -> _Parser:
     return p
 
 
-_DISPATCH = {
+_COMMANDS = {
     "solve": cmd_solve,
     "certify": cmd_certify,
     "basin": cmd_basin,
@@ -603,52 +585,37 @@ def _normalize_argv(argv) -> list:
     option name; vectors and boxes routinely start with a negative number.
     """
     out = []
-    i = 0
-    argv = list(argv)
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and nxt is not None
-            and nxt.startswith("-")
-            and any(ch.isdigit() for ch in nxt)
-        ):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and "=" not in flag
+                and tok.startswith("-") and any(ch.isdigit() for ch in tok)):
+            out[-1] = f"{flag}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _normalize_argv(argv)
+    argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if not args.command:
             raise UsageError("a subcommand is required (see --help)")
         config_values = {}
-        if getattr(args, "config", None):
-            try:
-                with open(args.config) as fh:
-                    config_values = RunConfig.from_text(fh.read()).values
-            except OSError as e:
-                raise UsageError(f"cannot read config: {e}") from None
-        cli_values = {
-            name: getattr(args, name.replace("-", "_"))
-            for name, _d, _h in _FIELDS[args.command]
-        }
-        cfg = _resolve(args.command, cli_values, config_values)
-        if getattr(args, "dump_config", None):
+        if args.config:
+            with open(args.config) as fh:
+                config_values = RunConfig.from_text(fh.read()).values
+        cfg = _resolve(args.command, vars(args), config_values)
+        if args.dump_config:
             with open(args.dump_config, "w") as fh:
                 fh.write(cfg.to_text())
-        return _DISPATCH[args.command](cfg)
-    except (UsageError, ValueError) as e:
+        opts = _parse(cfg)
+        doc, code = _COMMANDS[args.command](opts)
+        _emit(doc, getattr(opts, "out", None))
+        return code
+    except (UsageError, ValueError, OSError, *SAMPLE_ERRORS) as e:
+        # input-caused failures; SAMPLE_ERRORS here come from a point the
+        # user gave (a start, target or base point), sampled points are skipped
         sys.stderr.write(f"error: {e}\n")
         return 1
 

@@ -60,8 +60,8 @@ class FlowOptions:
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "t_max", "blowup_radius", "residual_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 

@@ -295,8 +295,8 @@ def _build_linear(dim=None, a=None):
 
 
 def _build_rot_poly(eps=0.1):
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:  # NaN fails too
+        raise ValueError("eps must be positive and finite")
     return C1Map("rot-poly2d", 2, partial(_rot_poly_fn, eps), partial(_rot_poly_jac, eps))
 
 

@@ -96,6 +96,18 @@ def test_log_h_rejects_negative_constants():
         aux_log_h(-1.0, 0.0, 0.0, (0, 0), (0, 0), EYE2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("slot", range(3))
+def test_constants_must_be_finite(bad, slot):
+    # a NaN or infinite constant would make every growth bound hold
+    abc = [1.0, 1.0, 0.0]
+    abc[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        aux_log_h(*abc, (0, 0), (0, 0), EYE2)
+    with pytest.raises(ValueError, match="finite"):
+        check_cor22(ZAMP, (0, 0), (0, 0), *abc, GridSampler(((-2, 2), (-2, 2)), 5))
+
+
 def test_hadamard_constant_omega_is_norm():
     k = aux_hadamard(OmegaPoly([1.0]))
     x = np.array([3.0, 4.0])
@@ -331,6 +343,9 @@ def test_omega_poly_validation_and_degree():
         OmegaPoly([0.0, 1.0])
     with pytest.raises(ValueError):
         OmegaPoly([1.0, -1.0])
+    for coeffs in ([math.nan], [1.0, math.nan], [math.inf], [1.0, math.inf], [1.0, -math.inf]):
+        with pytest.raises(ValueError):
+            OmegaPoly(coeffs)
     assert OmegaPoly([1.0, 2.0]).diverges()
     assert OmegaPoly([1.0, 2.0, 0.0]).degree == 1
     assert not OmegaPoly([1.0, 0.0, 3.0]).diverges()
@@ -347,6 +362,13 @@ def test_coercive_map_gate():
     assert cert.verdict is Verdict.VIOLATED
     assert cert.witness[0] < -3.0
     assert cert.stats["evidence_only"] is True
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, -math.inf, math.inf, math.nan])
+def test_coercive_growth_factor_must_be_positive_and_finite(factor):
+    # -inf or NaN would decide the verdict without looking at the minima
+    with pytest.raises(ValueError, match="growth_factor"):
+        check_coercive_map(ZAMP, growth_factor=factor)
 
 
 def test_ball_criterion_linear_and_shrinking_radius():

@@ -235,12 +235,54 @@ def test_seeded_outputs_byte_identical(capsys):
     ["verify-ex5", "--perturb-jacobian", "inf"],
     ["verify-ex5", "--perturb-jacobian", "1e400"],
     ["verify-ex5", "--positive-samples", "0"],
+    # the map cannot be evaluated at a point the user gave
+    ["basin", "--map", "zampieri-ex5", "--x0", "800,0", "--res", "3", "--workers", "1"],
+    ["solve", "--map", "zampieri-ex5", "--target", "1,0", "--start", "800,1"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "thm21", "--x0", "800,0"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "thm21", "--x0", "1e300,0"],
+    ["solve", "--map", "rot-poly2d", "--eps", "nan", "--target", "1,0", "--start", "1,1"],
+    ["solve", "--map", "rot-poly2d", "--eps", "inf", "--target", "1,0", "--start", "1,1"],
+    ["solve", "--map", "linear", "--A", "nan,0,0,1", "--target", "1,0", "--start", "1,1"],
+    ["solve", "--map", "linear", "--A", "1e308,1e308,1e308,1e308",
+     "--target", "1,0", "--start", "1,1"],
+    # files that cannot be written
+    ["solve", "--map", "zampieri-ex5", "--target", "1,0", "--start", "1,1",
+     "--traj", "/nonexistent/x.csv"],
+    ["solve", "--map", "zampieri-ex5", "--target", "1,0", "--start", "1,1",
+     "--out", "/nonexistent/o.json"],
+    ["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--res", "3", "--workers", "1",
+     "--grid-out", "/nonexistent/g.csv"],
+    ["solve", "--map", "cubic1d", "--target", "1", "--start", "0",
+     "--dump-config", "/nonexistent/d.cfg"],
+    # NaN or infinite constants, growth bounds and tolerances
+    ["certify", "--map", "zampieri-ex5", "--criterion", "cor22", "--a", "nan",
+     "--grid", "-2,2,-2,2,5"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "hadamard", "--omega", "poly:1,nan",
+     "--grid", "-2,2,-2,2,5"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "hadamard", "--omega", "poly:inf",
+     "--grid", "-2,2,-2,2,5"],
+    ["solve", "--map", "zampieri-ex5", "--target", "1,0", "--start", "1,1", "--abs-tol", "nan"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "coercive", "--growth-factor=-inf"],
+    # an empty value is unset only for an option whose default is empty
+    ["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--res", ""],
+    # malformed values of options the chosen criterion ignores
+    ["certify", "--map", "zampieri-ex5", "--criterion", "coercive", "--dirs", "x"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "cor22", "--omega", "wat:1",
+     "--grid", "-2,2,-2,2,5"],
 ])
 def test_bad_values_exit_one_without_traceback(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_empty_value_of_an_option_with_empty_default_is_unset(capsys):
+    base = ["certify", "--map", "zampieri-ex5", "--criterion", "ball", "--count", "50"]
+    _, unset = _run(capsys, base)
+    code, empty = _run(capsys, base + ["--x0", "", "--out", "", "--sphere", ""])
+    assert code == 0
+    assert _strip_timestamp(empty) == _strip_timestamp(unset)
 
 
 def _reject_constant(name):

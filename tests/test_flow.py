@@ -193,6 +193,10 @@ def test_options_validation():
         FlowOptions(t_max=-1.0)
     with pytest.raises(ValueError):
         FlowOptions(max_steps=0)
+    for name in ("abs_tol", "rel_tol", "t_max", "blowup_radius", "residual_tol"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                FlowOptions(**{name: bad})
 
 
 def test_integrate_deterministic():

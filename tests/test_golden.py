@@ -1,9 +1,13 @@
-"""Byte-parity test: seeded CLI commands against their recorded outputs.
+"""Byte-parity tests: seeded CLI commands and the option table against their
+recorded outputs.
 
 Each line of ``golden/certify.jsonl`` holds one argv, its exit code and its
 stdout with the timestamp masked.  Only maps of dimension <= 2 appear, whose
 linear algebra runs in closed form, so the bytes do not depend on the LAPACK
-build.  To record the commands of COMMANDS that the file does not hold yet, run
+build.  ``golden/options.json`` holds each subcommand's ``--help`` text at 80
+columns and its ``--dump-config`` output with only the required options
+given.  To record the commands of COMMANDS that the file does not hold yet,
+and the option file when it is missing, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -16,14 +20,18 @@ purpose, delete it from the file first.
 import contextlib
 import io
 import json
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from newtonflow.cli import main
+from newtonflow import basin
+from newtonflow.cli import _FIELDS, main
 
 GOLDEN = Path(__file__).parent / "golden" / "certify.jsonl"
+OPTIONS = Path(__file__).parent / "golden" / "options.json"
 
 _C = ["certify", "--seed", "3", "--map"]
 _S = ["solve", "--seed", "3", "--map"]
@@ -131,6 +139,42 @@ def test_golden_file_lists_every_command():
     assert [r["argv"] for r in _recorded()] == COMMANDS
 
 
+# the options each subcommand requires, with values it accepts
+REQUIRED = {
+    "solve": ["--map", "zampieri-ex5", "--target", "1,0", "--start", "1,1"],
+    "certify": ["--map", "zampieri-ex5", "--criterion", "coercive"],
+    "basin": ["--map", "zampieri-ex5", "--x0", "0,0"],
+    "verify-ex5": [],
+    "list-maps": [],
+}
+
+
+def _no_scan(*args, **kwargs):
+    raise ValueError("scan not run")
+
+
+def _options(command: str, dump_path: Path) -> dict:
+    help_out = io.StringIO()
+    with contextlib.redirect_stdout(help_out), pytest.raises(SystemExit):
+        main([command, "--help"])
+    # the default 101x101 basin scan is not needed for its config
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basin, "scan_basin", _no_scan)
+        main([command, *REQUIRED[command], "--dump-config", str(dump_path)])
+    return {"help": help_out.getvalue(), "dump_config": dump_path.read_text()}
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_option_table_bytes_match_golden(command, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    recorded = json.loads(OPTIONS.read_text())[command]
+    assert _options(command, tmp_path / "dump.cfg") == recorded
+    for name, default, _help, parse in _FIELDS[command]:
+        if default:  # "" is unset and None is required: neither is parsed
+            parse(default)
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     have = [r["argv"] for r in _recorded()]
@@ -138,3 +182,8 @@ if __name__ == "__main__":
         for argv in COMMANDS:
             if argv not in have:
                 fh.write(json.dumps(_run(argv)) + "\n")
+    if not OPTIONS.exists():
+        os.environ["COLUMNS"] = "80"
+        with tempfile.TemporaryDirectory() as tmp:
+            table = {c: _options(c, Path(tmp) / "dump.cfg") for c in REQUIRED}
+        OPTIONS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -85,6 +85,12 @@ def test_builtin_rejects_parameters_the_map_does_not_take(key, params, name):
         builtin(key, **params)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
+def test_rot_poly_eps_must_be_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="eps"):
+        builtin("rot-poly2d", eps=eps)
+
+
 def test_fd_check_linear_exact():
     # central differences are exact for affine maps up to rounding, which at
     # step h ~ cbrt(eps) means eps * ||A x|| / (2h) ~ 1e-11 for |x| <= 3
