@@ -578,17 +578,29 @@ _COMMANDS = {
 }
 
 
+def _is_number_like(tok: str) -> bool:
+    """A digit anywhere (vectors, boxes) or a float() literal (-inf, -nan)."""
+    if any(ch.isdigit() for ch in tok):
+        return True
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def _normalize_argv(argv) -> list:
     """Join ``--flag -5,...`` into ``--flag=-5,...``.
 
     argparse would otherwise read a leading-minus numeric value as an
-    option name; vectors and boxes routinely start with a negative number.
+    option name; vectors and boxes routinely start with a negative number,
+    and ``-inf`` or ``-nan`` must reach the option's parser to be refused.
     """
     out = []
     for tok in argv:
         flag = out[-1] if out else ""
         if (flag.startswith("--") and "=" not in flag
-                and tok.startswith("-") and any(ch.isdigit() for ch in tok)):
+                and tok.startswith("-") and _is_number_like(tok)):
             out[-1] = f"{flag}={tok}"
         else:
             out.append(tok)
@@ -610,7 +622,10 @@ def main(argv=None) -> int:
             with open(args.dump_config, "w") as fh:
                 fh.write(cfg.to_text())
         opts = _parse(cfg)
-        doc, code = _COMMANDS[args.command](opts)
+        # every non-finite value ends as a status, a skip or "inf"; numpy's
+        # overflow and invalid-value warnings would only add noise to stderr
+        with np.errstate(all="ignore"):
+            doc, code = _COMMANDS[args.command](opts)
         _emit(doc, getattr(opts, "out", None))
         return code
     except (UsageError, ValueError, OSError, *SAMPLE_ERRORS) as e:

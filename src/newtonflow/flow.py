@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -242,6 +242,12 @@ _KP = 0.08
 _H_MIN = 1e-14
 _EPS = float(np.finfo(float).eps)
 
+# solve_inverse hands off to Newton once the residual is this share of its
+# initial norm.  On non-injective maps the flow picks the preimage; Newton
+# started too far out can land on another one (seen on complex exp at 0.5).
+# 1e-2 keeps a wide margin and still skips about half of the flow's steps.
+_HANDOFF = 1e-2
+
 
 def integrate(
     m: C1Map,
@@ -420,15 +426,35 @@ def _newton_polish(m: C1Map, x, target, steps: int = 3) -> np.ndarray:
 
 
 def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> np.ndarray:
-    """Solve f(x) = y* globally: flow from ``start``, then polish with Newton.
+    """Solve f(x) = y* globally: flow from ``start`` to the neighbourhood of
+    the solution, then finish with guarded Newton.
 
     Returns x with ||f(x) - y*|| <= residual_tol.  Raises FlowFailure
     (carrying the trajectory) if the flow ends in any non-converged status.
-    The flow lands globally close; the guarded Newton finish squeezes the
-    last digits quadratically.
+    The flow runs only until the residual is _HANDOFF times its initial norm
+    (or residual_tol, if that is larger); guarded Newton then squeezes the
+    last digits quadratically.  If Newton misses residual_tol, the full flow
+    runs from ``start`` at ``opts``, followed by the 3-step polish, so the
+    answer and any FlowFailure are those of the full flow.  residual_tol enters
+    ``integrate`` only in its stop test, so a handoff run that ends
+    non-converged is the full run, step for step.  CLI ``solve`` still
+    reports the full-tolerance trajectory.
     """
     opts = opts or FlowOptions()
-    traj = integrate(m, start, target, opts, Direction.FORWARD)
+    x0 = as_vector(start, m.dim)
+    target = as_vector(target, m.dim)
+    handoff = _HANDOFF * float(np.linalg.norm(m.eval(x0) - target))
+    # an overflowed initial residual (inf) leaves the stop test as it is
+    near = opts
+    if opts.residual_tol < handoff < math.inf:
+        near = replace(opts, residual_tol=handoff)
+    traj = integrate(m, x0, target, near, Direction.FORWARD)
+    if traj.status is not FlowStatus.CONVERGED:
+        raise FlowFailure(traj)
+    x = _newton_polish(m, traj.final_state, target, steps=8)
+    if float(np.linalg.norm(m.eval(x) - target)) <= opts.residual_tol:
+        return x
+    traj = integrate(m, x0, target, opts, Direction.FORWARD)
     if traj.status is not FlowStatus.CONVERGED:
         raise FlowFailure(traj)
     return _newton_polish(m, traj.final_state, target)

@@ -263,6 +263,9 @@ def test_seeded_outputs_byte_identical(capsys):
      "--grid", "-2,2,-2,2,5"],
     ["solve", "--map", "zampieri-ex5", "--target", "1,0", "--start", "1,1", "--abs-tol", "nan"],
     ["certify", "--map", "zampieri-ex5", "--criterion", "coercive", "--growth-factor=-inf"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "coercive", "--growth-factor", "-inf"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "cor22", "--a", "-nan",
+     "--grid", "-2,2,-2,2,5"],
     # an empty value is unset only for an option whose default is empty
     ["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--res", ""],
     # malformed values of options the chosen criterion ignores
@@ -275,6 +278,21 @@ def test_bad_values_exit_one_without_traceback(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("criterion, flag, value", [
+    ("coercive", "--growth-factor", "-inf"),
+    ("coercive", "--growth-factor", "-Infinity"),
+    ("cor22", "--a", "-nan"),
+])
+def test_dash_led_float_literal_reaches_its_parser(capsys, criterion, flag, value):
+    base = ["certify", "--map", "zampieri-ex5", "--criterion", criterion,
+            "--grid", "-2,2,-2,2,5"]
+    assert main(base + [f"{flag}={value}"]) == 1
+    joined = capsys.readouterr().err
+    assert main(base + [flag, value]) == 1
+    assert capsys.readouterr().err == joined
+    assert "expected one argument" not in joined
 
 
 def test_empty_value_of_an_option_with_empty_default_is_unset(capsys):
@@ -315,3 +333,20 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--map", "linear", "--A", "1e308,1e308,1e308,1e308",
+     "--target", "1,0", "--start", "1,1"],
+    ["certify", "--seed", "3", "--map", "exp1d", "--criterion", "thm21",
+     "--k", "logcoercive", "--grid", "-800,800,41"],
+    ["certify", "--seed", "3", "--map", "exp1d", "--criterion", "thm31", "--k", "logh",
+     "--a", "1", "--b", "1", "--c", "1", "--grid", "-800,800,41"],
+])
+def test_handled_overflow_prints_no_numpy_warning(argv):
+    import newtonflow
+
+    env = dict(os.environ, PYTHONPATH=str(Path(newtonflow.__file__).parents[1]))
+    err = subprocess.run([sys.executable, "-m", "newtonflow.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120).stderr
+    assert "RuntimeWarning" not in err

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from test_basin import COMPLEX_EXP, FOLD
 
 from newtonflow.flow import (
     FIELD_BLOCK,
@@ -11,6 +13,7 @@ from newtonflow.flow import (
     FlowOptions,
     FlowStatus,
     Trajectory,
+    _newton_polish,
     decay_drift,
     direction_deviation,
     integrate,
@@ -18,7 +21,7 @@ from newtonflow.flow import (
     newton_fields,
     solve_inverse,
 )
-from newtonflow.maps import builtin
+from newtonflow.maps import C1Map, builtin
 
 ZAMP = builtin("zampieri-ex5")
 F_ORIGIN = (1.0, 0.0)  # f(0,0) for the planar oracle map
@@ -171,6 +174,99 @@ def test_solve_inverse_failure_wraps_trajectory():
         solve_inverse(m, (2.0,), (0.0,))
     assert ei.value.status is FlowStatus.BLOWUP
     assert abs(ei.value.trajectory.final_state[0]) > 1e6
+
+
+def _full_flow_solve(m, target, start):
+    """The solve without the handoff: integrate at the full FlowOptions,
+    then the 3-step polish."""
+    traj = integrate(m, start, target, FlowOptions())
+    if traj.status is not FlowStatus.CONVERGED:
+        raise FlowFailure(traj)
+    return _newton_polish(m, traj.final_state, target)
+
+
+def _cube_fn(x):
+    return np.array((x[0] ** 3 - 3.0 * x[0] * x[1] ** 2, 3.0 * x[0] ** 2 * x[1] - x[1] ** 3))
+
+
+def _cube_jac(x):
+    a, b = 3.0 * (x[0] ** 2 - x[1] ** 2), 6.0 * x[0] * x[1]
+    return np.array(((a, -b), (b, a)))
+
+
+# z -> z^3 as a planar map: three preimages for every target but 0
+CUBE = C1Map("z-cubed", 2, _cube_fn, _cube_jac)
+
+
+@pytest.mark.parametrize("key, dim", [("zampieri-ex5", 2), ("cubic1d", 1), ("rot-poly2d", 2)])
+def test_solve_inverse_agrees_with_the_full_flow(key, dim):
+    m = builtin(key)
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        target = m.eval(rng.uniform(-3.0, 3.0, dim))
+        start = rng.uniform(-3.0, 3.0, dim)
+        x = solve_inverse(m, target, start)
+        assert np.linalg.norm(m.eval(x) - target) <= FlowOptions().residual_tol
+        np.testing.assert_allclose(x, _full_flow_solve(m, target, start), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("m", [CUBE, COMPLEX_EXP, FOLD], ids=lambda m: m.name)
+def test_handoff_keeps_the_preimage_of_the_full_flow(m):
+    # on non-injective maps the flow picks the preimage its path leads to;
+    # handing off to Newton early must not jump to another one
+    rng = np.random.default_rng(42)
+    both = 0
+    for _ in range(67):
+        start = rng.uniform(-2.0, 2.0, 2)
+        target = m.eval(rng.uniform(-2.0, 2.0, 2))
+        try:
+            full = _full_flow_solve(m, target, start)
+            x = solve_inverse(m, target, start)
+        except FlowFailure:
+            continue
+        both += 1
+        np.testing.assert_allclose(x, full, rtol=0, atol=1e-6 * (1.0 + np.linalg.norm(full)))
+    assert both >= 60
+
+
+@pytest.mark.parametrize("key, start, target, status", [
+    ("arctan1d", (0.0,), (2.0,), FlowStatus.BLOWUP),
+    ("exp1d", (0.0,), (-1.0,), FlowStatus.STEP_FAILURE),
+    ("zampieri-ex5", (1.0, 1.0), (-1.0, 0.0), FlowStatus.SINGULAR_JACOBIAN),
+])
+def test_solve_inverse_failure_is_the_full_flow_trajectory(key, start, target, status):
+    m = builtin(key)
+    with pytest.raises(FlowFailure) as ei:
+        solve_inverse(m, target, start)
+    got = ei.value.trajectory
+    full = integrate(m, start, target, FlowOptions())
+    assert got.status is full.status is status
+    assert got.steps == full.steps
+    for name in ("t", "states", "residuals"):
+        assert getattr(got, name).tobytes() == getattr(full, name).tobytes(), name
+
+
+def test_solve_inverse_ill_conditioned_linear_map():
+    # integrate alone stalls near x* (test_ill_conditioned_linear_map_converges
+    # is its strict xfail); Newton from the handoff point finishes
+    m = builtin("linear", a=[[1.0, 1.0], [1.0, 1.01]])
+    x = solve_inverse(m, (1.0, 2.0), (0.0, 0.0))
+    np.testing.assert_allclose(x, (-99.0, 100.0), rtol=0, atol=1e-9)
+
+
+def test_solve_inverse_does_less_integrator_work():
+    # a deterministic count in place of a timing gate: the handoff must keep
+    # removing the tail of the flow that Newton does in a few iterations
+    rng = np.random.default_rng(43)
+    targets = [ZAMP.eval(x) for x in rng.uniform(-3.0, 3.0, (20, 2))]
+    work = []
+    for solve in (solve_inverse, _full_flow_solve):
+        calls = []
+        m = dataclasses.replace(ZAMP, jac=lambda x: calls.append(x) or ZAMP.jac(x))
+        for target in targets:
+            solve(m, target, (0.0, 0.0))
+        work.append(len(calls))
+    assert work[0] <= 0.6 * work[1], work
 
 
 def test_trajectory_csv_and_summary(tmp_path):
