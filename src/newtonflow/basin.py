@@ -29,6 +29,12 @@ from .maps import C1Map
 # tolerances trade digits nobody reads for a ~4x faster sweep
 SCAN_OPTIONS = FlowOptions(abs_tol=1e-6, rel_tol=1e-6)
 
+# ||f(x) - f(x')|| <= SEP_TOL ||x - x'|| flags a pair as an injectivity collision
+SEP_TOL = 1e-9
+
+# the fields of one grid record, in order: the CSV header and the JSON cell keys
+COLUMNS = ("i", "j", "cx", "cy", "status", "t_conv", "final_residual")
+
 
 def _centers(lo: float, hi: float, n: int) -> np.ndarray:
     """Centers of the n equal cells that split [lo, hi]."""
@@ -76,7 +82,7 @@ class BasinGrid:
         return np.array(out)
 
     def records(self) -> list[tuple]:
-        """(i, j, cx, cy, status, t_conv|None, final_residual) per cell."""
+        """One COLUMNS tuple per cell; t_conv is None where the cell did not converge."""
         cx, cy = self.cx, self.cy
         recs = []
         for i in range(self.nx):
@@ -161,10 +167,8 @@ class InjectivityReport:
         return {
             "pairs_checked": self.pairs_checked,
             "min_ratio": self.min_ratio,
-            "min_pair": [[float(v) for v in p] for p in self.min_pair],
-            "collisions": [
-                [[float(v) for v in p] for p in pair] for pair in self.collisions
-            ],
+            "min_pair": np.array(self.min_pair).tolist(),
+            "collisions": [np.array(pair).tolist() for pair in self.collisions],
             "collision_found": self.collision_found,
             "sep_tol": self.sep_tol,
         }
@@ -175,11 +179,10 @@ def injectivity_probe(
     m: C1Map,
     pairs: int = 100_000,
     seed: int = 0,
-    sep_tol: float = 1e-9,
 ) -> InjectivityReport:
     """Collision search over converged cell centers.
 
-    Samples random pairs x != x' and flags ||f(x) - f(x')|| <= sep_tol
+    Samples random pairs x != x' and flags ||f(x) - f(x')|| <= SEP_TOL
     ||x - x'|| as an injectivity counterexample.  Finding none falsifies
     nothing, but a collision comes with concrete witnesses.
     """
@@ -202,14 +205,14 @@ def injectivity_probe(
     jmin = int(np.argmin(ratios))
     collisions = [
         (centers[a], centers[b])
-        for a, b in idx[ratios <= sep_tol][:16]
+        for a, b in idx[ratios <= SEP_TOL][:16]
     ]
     return InjectivityReport(
         pairs_checked=int(len(idx)),
         min_ratio=float(ratios[jmin]),
         min_pair=(centers[idx[jmin, 0]], centers[idx[jmin, 1]]),
         collisions=collisions,
-        sep_tol=sep_tol,
+        sep_tol=SEP_TOL,
     )
 
 
@@ -218,7 +221,7 @@ def export_grid(grid: BasinGrid, path, format: str = "csv") -> None:
     if format == "csv":
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["i", "j", "cx", "cy", "status", "t_conv", "final_residual"])
+            w.writerow(COLUMNS)
             for i, j, cx, cy, st, tc, fr in grid.records():
                 w.writerow([i, j, repr(cx), repr(cy), st,
                             "" if tc is None else repr(tc), repr(fr)])
@@ -228,11 +231,7 @@ def export_grid(grid: BasinGrid, path, format: str = "csv") -> None:
             "box": list(grid.box),
             "nx": grid.nx,
             "ny": grid.ny,
-            "cells": [
-                {"i": i, "j": j, "cx": cx, "cy": cy, "status": st,
-                 "t_conv": tc, "final_residual": fr}
-                for i, j, cx, cy, st, tc, fr in grid.records()
-            ],
+            "cells": [dict(zip(COLUMNS, rec)) for rec in grid.records()],
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
@@ -248,7 +247,7 @@ def load_grid_records(path, format: str = "csv") -> list[tuple]:
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
             header = next(rd)
-            if header != ["i", "j", "cx", "cy", "status", "t_conv", "final_residual"]:
+            if header != list(COLUMNS):
                 raise ValueError("unexpected CSV header")
             for row in rd:
                 i, j, cx, cy, st, tc, fr = row
@@ -258,9 +257,5 @@ def load_grid_records(path, format: str = "csv") -> list[tuple]:
     if format == "json":
         with open(path) as fh:
             doc = json.load(fh)
-        return [
-            (c["i"], c["j"], c["cx"], c["cy"], c["status"], c["t_conv"],
-             c["final_residual"])
-            for c in doc["cells"]
-        ]
+        return [tuple(c[name] for name in COLUMNS) for c in doc["cells"]]
     raise ValueError(f"unknown format {format!r}")

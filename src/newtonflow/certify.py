@@ -22,7 +22,7 @@ Three families are built in:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -39,7 +39,8 @@ POINT_SLACK = 1e-9            # numeric slack for pointwise inequalities
 TREND_GROWTH_MARGIN = 0.05    # relative sup growth between inner/outer shells
 FLATTEN_RATIO = 0.05          # late/early increment ratio that flags saturation
 SMOOTHING_RADIUS = 1.0        # quadratic cap radius for aux_hadamard
-_DOUBLING_RADII = tuple(float(2**j) for j in range(11))  # default growth-evidence radii
+_DOUBLING_RADII = tuple(float(2**j) for j in range(11))  # growth-evidence radii
+_EVIDENCE_SAMPLES = 64        # samples per sphere of coercivity_evidence
 
 
 class Verdict(str, Enum):
@@ -75,17 +76,7 @@ class Certificate:
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "verdict": self.verdict.value,
-            "extremal_value": self.extremal_value,
-            "witness": _jsonable(self.witness) if self.witness is not None else None,
-            "threshold": self.threshold,
-            "samples_used": self.samples_used,
-            "samples_skipped_singular": self.samples_skipped_singular,
-            "seed": self.seed,
-            "stats": _jsonable(self.stats),
-        }
+        return _jsonable({**asdict(self), "verdict": self.verdict.value})
 
 
 # --- samplers ---------------------------------------------------------------
@@ -229,29 +220,25 @@ def aux_log_h(a: float, b: float, c: float, x0, x1, m: C1Map) -> AuxFunction:
     f0 = m.eval(x0)
     base = a / b
 
-    if c == 0.0:
+    def h(x):
+        """(x - x1, f(x) - f(x0) or None when c == 0, the argument of ln)."""
+        d = x - x1
+        hv = base + float(d @ d)
+        if c == 0.0:
+            return d, None, hv
+        df = m.eval(x) - f0
+        hv += gamma * float(df @ df)
+        return d, df, hv
 
-        def k(x):
-            d = x - x1
-            return math.log(base + float(d @ d))
+    def k(x):
+        return math.log(h(x)[2])
 
-        def dp(x, v):
-            d = x - x1
-            return 2.0 * float(d @ v) / (base + float(d @ d))
-
-    else:
-
-        def k(x):
-            d = x - x1
-            df = m.eval(x) - f0
-            return math.log(base + float(d @ d) + gamma * float(df @ df))
-
-        def dp(x, v):
-            d = x - x1
-            df = m.eval(x) - f0
-            hv = base + float(d @ d) + gamma * float(df @ df)
-            jv = m.jacobian(x) @ v
-            return (2.0 * float(d @ v) + 2.0 * gamma * float(df @ jv)) / hv
+    def dp(x, v):
+        d, df, hv = h(x)
+        num = 2.0 * float(d @ v)
+        if df is not None:
+            num += 2.0 * gamma * float(df @ (m.jacobian(x) @ v))
+        return num / hv
 
     return AuxFunction(
         kind="log-h",
@@ -264,13 +251,15 @@ def aux_log_h(a: float, b: float, c: float, x0, x1, m: C1Map) -> AuxFunction:
     )
 
 
-def aux_hadamard(omega: Callable[[float], float], rho0: float = SMOOTHING_RADIUS) -> AuxFunction:
-    """Integral of 1/omega from 0 to ||x||, with a quadratic cap inside ||x|| <= rho0.
+def aux_hadamard(omega: Callable[[float], float]) -> AuxFunction:
+    """Integral of 1/omega from 0 to ||x||, with a quadratic cap inside
+    ||x|| <= rho0 = SMOOTHING_RADIUS.
 
     The cap (value and slope matched at rho0) removes the kink of ||x|| at the
     origin so the function is C^1 everywhere.  ``omega`` must be positive and
     continuous on [0, inf).
     """
+    rho0 = SMOOTHING_RADIUS
     for s in (0.0, 0.5 * rho0, rho0, 5.0, 100.0):
         w = float(omega(s))
         if not (w > 0.0) or not math.isfinite(w):
@@ -322,11 +311,12 @@ def aux_log_coercive(m: C1Map) -> AuxFunction:
     return AuxFunction(kind="log-coercive", k=k, dplus_closed=dp, meta={"map": m.name})
 
 
-def _k_safe(aux: AuxFunction, x) -> float:
-    """k(x) with overflow mapped to +inf (coercivity scans reach huge radii)."""
+def _value_or_inf(value, x) -> float:
+    """value(x) with a sample error or a non-finite result mapped to +inf
+    (coercivity scans reach huge radii)."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            v = float(aux.k(x))
+            v = float(value(x))
         except SAMPLE_ERRORS:
             return math.inf
     return v if math.isfinite(v) else math.inf
@@ -335,13 +325,14 @@ def _k_safe(aux: AuxFunction, x) -> float:
 def _sphere_minima(value, dim: int, radii, count: int, rng) -> tuple[list, list]:
     """Minimum of ``value`` and its first argmin on each nested sphere ||x|| = r.
 
-    ``value`` maps a point to a float or +inf.  The scan stops at the first
-    sphere with no finite value, so fewer minima than radii mean failure.
+    ``value`` maps a point to a float; it counts as +inf where _value_or_inf
+    says so.  The scan stops at the first sphere with no finite value, so
+    fewer minima than radii mean failure.
     """
     minima, witnesses = [], []
     for r in radii:
         pts = _sphere_points(dim, r, count, rng)
-        vals = np.array([value(p) for p in pts])
+        vals = np.array([_value_or_inf(value, p) for p in pts])
         if not np.isfinite(vals).any():
             break
         i = int(vals.argmin())
@@ -357,14 +348,10 @@ def _flattening(increments: np.ndarray) -> bool:
     return late <= FLATTEN_RATIO * max(early, 0.0) or late <= 1e-12
 
 
-def coercivity_evidence(
-    aux: AuxFunction,
-    dim: int,
-    radii: Sequence[float] | None = None,
-    samples_per_sphere: int = 64,
-    seed: int = 0,
-) -> tuple[str, Optional[np.ndarray], dict]:
-    """Probe k(x) -> inf as ||x|| -> inf on nested spheres.
+def coercivity_evidence(aux: AuxFunction, dim: int,
+                        seed: int = 0) -> tuple[str, Optional[np.ndarray], dict]:
+    """Probe k(x) -> inf as ||x|| -> inf on the nested spheres of radii
+    _DOUBLING_RADII, _EVIDENCE_SAMPLES seeded samples each.
 
     Returns (status, witness, details) with status one of:
     ``ok``          sphere minima grow without saturating;
@@ -372,15 +359,14 @@ def coercivity_evidence(
     ``flattening``  growth increments collapse, as for a bounded k;
     ``undecided``   spheres had no finite samples.
     """
-    if radii is None:
-        radii = _DOUBLING_RADII
-    mins, witnesses = _sphere_minima(lambda p: _k_safe(aux, p), dim, radii,
-                                     samples_per_sphere, np.random.default_rng(seed))
+    radii = list(_DOUBLING_RADII)
+    mins, witnesses = _sphere_minima(aux.k, dim, radii, _EVIDENCE_SAMPLES,
+                                     np.random.default_rng(seed))
     if len(mins) < len(radii):
-        return "undecided", None, {"radii": list(radii), "minima": None}
+        return "undecided", None, {"radii": radii, "minima": None}
     mins_arr = np.array(mins)
     diffs = np.diff(mins_arr)
-    details = {"radii": list(radii), "minima": mins, "increments": diffs.tolist()}
+    details = {"radii": radii, "minima": mins, "increments": diffs.tolist()}
     slack = POINT_SLACK * np.maximum(1.0, np.abs(mins_arr[:-1]))
     bad = np.nonzero(diffs < -slack)[0]
     if bad.size:
@@ -656,30 +642,26 @@ def check_hadamard(m: C1Map, omega, sampler, radii: Sequence[float] | None = Non
                        seed, stats)
 
 
-def check_coercive_map(m: C1Map, radii: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0),
+def check_coercive_map(m: C1Map, radii: Sequence[float] | None = None,
                        samples_per_sphere: int = 128, seed: int = 0,
                        growth_factor: float = 10.0) -> Certificate:
     """Coercivity evidence for f itself: min ||f|| on nested spheres must grow.
+
+    ``radii`` defaults to (1, 2, 4, 8, 16).
 
     Satisfied-evidence when the minimum over the largest sphere exceeds
     growth_factor times the minimum over the smallest; otherwise
     violated-evidence with the flattest direction as witness.  Sampling can
     only ever provide evidence here, not proof.
     """
-    radii = tuple(float(r) for r in radii)
+    radii = (1.0, 2.0, 4.0, 8.0, 16.0) if radii is None else tuple(float(r) for r in radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     if not 0.0 < growth_factor < math.inf:  # NaN fails too
         raise ValueError("growth_factor must be positive and finite")
 
-    def norm_f(p):
-        try:
-            return float(np.linalg.norm(m.eval(p)))
-        except SAMPLE_ERRORS:
-            return math.inf
-
-    minima, witnesses = _sphere_minima(norm_f, m.dim, radii, samples_per_sphere,
-                                       np.random.default_rng(seed))
+    minima, witnesses = _sphere_minima(lambda p: np.linalg.norm(m.eval(p)), m.dim, radii,
+                                       samples_per_sphere, np.random.default_rng(seed))
     if len(minima) < len(radii):
         verdict, value, witness, used = Verdict.INCONCLUSIVE, None, None, 0
         stats = {"reason": "no finite samples", "radius": radii[len(minima)]}

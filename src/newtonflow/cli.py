@@ -45,7 +45,7 @@ from .flow import (
     SAMPLE_ERRORS,
     FlowOptions,
     FlowStatus,
-    _newton_polish,
+    _flow_then_polish,
     decay_drift,
     direction_deviation,
     integrate,
@@ -372,27 +372,16 @@ def _emit(doc, out_path: str | None) -> None:
 
 def cmd_solve(o):
     m = _build_map(o)
-    traj = integrate(m, o.start, o.target, _flow_opts(o))
+    traj, x = _flow_then_polish(m, o.start, o.target, _flow_opts(o))
     if o.traj:
         traj.to_csv(o.traj)
-
-    doc = {
-        "command": "solve",
-        "map": m.name,
-        "status": traj.status.value,
-        "steps": traj.steps,
-        "t_final": traj.t_final,
-        "seed": o.seed,
-    }
-    if traj.status is not FlowStatus.CONVERGED:
-        doc["final_x"] = [float(v) for v in traj.final_state]
-        doc["final_residual"] = traj.final_residual_norm
-        return doc, 2
-    x = _newton_polish(m, traj.final_state, o.target)
-    doc["x"] = [float(v) for v in x]
-    doc["residual"] = float(np.linalg.norm(m.eval(x) - o.target))
-    doc["max_drift"] = decay_drift(traj)
-    return doc, 0
+    s = traj.summary()
+    doc = {"command": "solve", "map": m.name, "seed": o.seed,
+           **{k: s[k] for k in ("status", "steps", "t_final")}}
+    if x is None:
+        return {**doc, "final_x": s["final_x"], "final_residual": s["final_residual"]}, 2
+    return {**doc, "x": [float(v) for v in x], "max_drift": s["max_drift"],
+            "residual": float(np.linalg.norm(m.eval(x) - o.target))}, 0
 
 
 def cmd_certify(o):
@@ -425,8 +414,8 @@ def cmd_certify(o):
         cert = certify_mod.check_hadamard(m, omega, _sampler(o, m.dim), radii=o.radii, seed=seed)
     elif o.criterion == "coercive":
         cert = certify_mod.check_coercive_map(
-            m, radii=o.radii or (1.0, 2.0, 4.0, 8.0, 16.0), samples_per_sphere=o.spc,
-            seed=seed, growth_factor=o.growth_factor,
+            m, radii=o.radii or None, samples_per_sphere=o.spc, seed=seed,
+            growth_factor=o.growth_factor,
         )
     else:  # ball
         cert = certify_mod.check_ball_criterion(m, x0, o.r, o.count, seed=seed)
@@ -529,7 +518,7 @@ def cmd_verify_ex5(o):
             "radius": r,
             "min": c.stats["min"],
             "max": c.stats["max"],
-            "all_nonpositive": bool(c.stats["max"] <= 1e-9),
+            "all_nonpositive": c.verdict is Verdict.SATISFIED,
         })
 
     failed = [c["name"] for c in checks if not c["passed"]]

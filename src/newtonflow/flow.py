@@ -118,32 +118,33 @@ class Trajectory:
             "steps": self.steps,
             "final_x": [float(v) for v in self.final_state],
             "final_residual": self.final_residual_norm,
-            "max_drift": float(self.drift_profile().max()),
+            "max_drift": decay_drift(self),
         }
 
     def to_csv(self, path) -> None:
         """Columns: t, x_0..x_{n-1}, r_norm, drift."""
-        drift = self.drift_profile()
         rnorm = np.linalg.norm(self.residuals, axis=1)
-        n = self.states.shape[1]
+        rows = np.column_stack((self.t, self.states, rnorm, self.drift_profile()))
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["t"] + [f"x_{i}" for i in range(n)] + ["r_norm", "drift"])
-            for i in range(len(self.t)):
-                w.writerow(
-                    [repr(float(self.t[i]))]
-                    + [repr(float(v)) for v in self.states[i]]
-                    + [repr(float(rnorm[i])), repr(float(drift[i]))]
-                )
+            w.writerow(["t"] + [f"x_{i}" for i in range(self.states.shape[1])]
+                       + ["r_norm", "drift"])
+            w.writerows([repr(v) for v in row] for row in rows.tolist())
 
 
 def newton_field(m: C1Map, x, target) -> np.ndarray:
-    """F(x) = -f'(x)^{-1} (f(x) - y*), computed by a fresh dense solve."""
+    """F(x) = -f'(x)^{-1} (f(x) - y*), computed by a fresh dense solve.
+
+    Raises NonFiniteError where y* - f(x) overflows.
+    """
     x = as_vector(x, m.dim)
     target = as_vector(target, m.dim)
     fx = m.eval(x)
     jac = m.jacobian(x)
-    return linalg.solve_dense(jac, target - fx)
+    rhs = target - fx
+    if not np.isfinite(rhs).all():
+        raise NonFiniteError(m.name, x)
+    return linalg.solve_dense(jac, rhs)
 
 
 def newton_fields(m: C1Map, pts, target):
@@ -270,7 +271,7 @@ def integrate(
     tnorm = float(np.linalg.norm(target))
 
     fn = m.fn
-    jacf = m.jac if m.jac is not None else m._fd_jacobian
+    jacf = m.jac_or_fd
 
     fx = m.eval(x)  # validated once; map errors at the seed raise to the caller
     r = fx - target
@@ -425,6 +426,16 @@ def _newton_polish(m: C1Map, x, target, steps: int = 3) -> np.ndarray:
     return x
 
 
+def _flow_then_polish(m: C1Map, start, target, opts: FlowOptions,
+                      steps: int = 3) -> tuple[Trajectory, np.ndarray | None]:
+    """The forward flow at ``opts``, then ``steps`` of guarded Newton from its
+    end point: (trajectory, x), with x None when the flow did not converge."""
+    traj = integrate(m, start, target, opts, Direction.FORWARD)
+    if traj.status is not FlowStatus.CONVERGED:
+        return traj, None
+    return traj, _newton_polish(m, traj.final_state, target, steps)
+
+
 def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> np.ndarray:
     """Solve f(x) = y* globally: flow from ``start`` to the neighbourhood of
     the solution, then finish with guarded Newton.
@@ -448,13 +459,9 @@ def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> n
     near = opts
     if opts.residual_tol < handoff < math.inf:
         near = replace(opts, residual_tol=handoff)
-    traj = integrate(m, x0, target, near, Direction.FORWARD)
-    if traj.status is not FlowStatus.CONVERGED:
+    traj, x = _flow_then_polish(m, x0, target, near, steps=8)
+    if x is not None and not float(np.linalg.norm(m.eval(x) - target)) <= opts.residual_tol:
+        traj, x = _flow_then_polish(m, x0, target, opts)
+    if x is None:
         raise FlowFailure(traj)
-    x = _newton_polish(m, traj.final_state, target, steps=8)
-    if float(np.linalg.norm(m.eval(x) - target)) <= opts.residual_tol:
-        return x
-    traj = integrate(m, x0, target, opts, Direction.FORWARD)
-    if traj.status is not FlowStatus.CONVERGED:
-        raise FlowFailure(traj)
-    return _newton_polish(m, traj.final_state, target)
+    return x

@@ -64,6 +64,35 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+# Rules of the scalar 2x2 path that the row path shares: written with + - * /,
+# abs, comparisons and & only, each runs on Python floats and elementwise on
+# arrays alike, so the two paths agree bit for bit by construction.
+
+
+def _regular(smax, smin):
+    """The singularity rule: True where the matrix counts as regular."""
+    return (smin > 0.0) & (smax <= COND_LIMIT * smin)
+
+
+def _in_band(fro2):
+    """True where the squared Frobenius norm lets _extremes2 run unscaled."""
+    return (fro2 > 1e-150) & (fro2 < 1e150)
+
+
+def _pivot_swaps(a00, a10):
+    """Row pivoting: True where the second row has the larger first entry."""
+    return abs(a10) > abs(a00)
+
+
+def _eliminate(a00, a01, a10, a11, b0, b1):
+    """(x0, x1) solving [[a00, a01], [a10, a11]] x = (b0, b1) by one
+    elimination step with the first row as pivot row."""
+    l10 = a10 / a00
+    u11 = a11 - l10 * a01
+    x1 = (b1 - l10 * b0) / u11
+    return (b0 - a01 * x1) / a00, x1
+
+
 def _extremes2(a00: float, a01: float, a10: float, a11: float) -> tuple[float, float]:
     """(sigma_max, sigma_min) of the 2x2 matrix [[a00, a01], [a10, a11]].
 
@@ -74,7 +103,7 @@ def _extremes2(a00: float, a01: float, a10: float, a11: float) -> tuple[float, f
     of two; inside it the formula runs on the entries as they are.
     """
     fro2 = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
-    if not 1e-150 < fro2 < 1e150:
+    if not _in_band(fro2):
         big = max(abs(a00), abs(a01), abs(a10), abs(a11))
         if 0.0 < big < math.inf and not math.isnan(fro2):
             e = -math.frexp(big)[1]
@@ -106,7 +135,7 @@ def _extremes_raw(a: np.ndarray) -> tuple[float, float]:
 def _regular_extremes(a: np.ndarray) -> tuple[float, float]:
     """(sigma_max, sigma_min), raising SingularError when the rule fails."""
     smax, smin = _extremes_raw(a)
-    if not (smin > 0.0 and smax <= COND_LIMIT * smin):
+    if not _regular(smax, smin):
         raise SingularError(smax, smin)
     return smax, smin
 
@@ -116,28 +145,24 @@ def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Applies the singularity rule first.  Dimensions 1 and 2 run in scalar
     arithmetic (Python floats give the same IEEE results as numpy scalars);
-    the 2x2 rule is applied inline to _extremes2 of the four entries, and
-    the solve is one row-pivoted elimination step.
+    the 2x2 rule is applied to _extremes2 of the four entries, and the solve
+    is one row-pivoted elimination step.
     """
     n = a.shape[0]
-    if n == 1:
-        a00 = a[0, 0]
-        if not (abs(a00) > 0.0):
-            raise SingularError(abs(a00), abs(a00))
-        return b / a00
     if n == 2:
         (a00, a01), (a10, a11) = a.tolist()
         smax, smin = _extremes2(a00, a01, a10, a11)
-        if not (smin > 0.0 and smax <= COND_LIMIT * smin):
+        if not _regular(smax, smin):
             raise SingularError(smax, smin)
         b0, b1 = b.tolist()
-        if abs(a10) > abs(a00):
-            a00, a01, a10, a11 = a10, a11, a00, a01
-            b0, b1 = b1, b0
-        l10 = a10 / a00
-        u11 = a11 - l10 * a01
-        x1 = (b1 - l10 * b0) / u11
-        return np.array(((b0 - a01 * x1) / a00, x1))
+        if _pivot_swaps(a00, a10):
+            return np.array(_eliminate(a10, a11, a00, a01, b1, b0))
+        return np.array(_eliminate(a00, a01, a10, a11, b0, b1))
+    if n == 1:
+        a00 = a.item()
+        if not _regular(abs(a00), abs(a00)):
+            raise SingularError(abs(a00), abs(a00))
+        return b / a00
     _regular_extremes(a)
     return np.linalg.solve(a, b)
 
@@ -146,13 +171,12 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the 2x2 systems a[i] x[i] = b[i] of an (N, 2, 2) and an (N, 2) block.
 
     Returns (x, ok).  Where ok[i] holds, x[i] equals ``_solve_raw(a[i], b[i])``
-    bit for bit: it is _extremes2, the singularity rule and the pivoted
-    elimination of the 2x2 path, done elementwise with the same operations in
-    the same order.  ok[i] is False, and x[i] meaningless, when the rule
-    fails, when the squared entries leave the band in which _extremes2 runs
-    unscaled, or when an input or the result is non-finite (where this path
-    divides by zero, the scalar one raises ZeroDivisionError); the caller
-    takes such rows through the scalar path.
+    bit for bit: it is _extremes2 unscaled, then _regular, _pivot_swaps and
+    _eliminate of the 2x2 path, applied elementwise.  ok[i] is False, and
+    x[i] meaningless, when the rule fails, when the squared entries leave the
+    band in which _extremes2 runs unscaled, or when an input or the result is
+    non-finite (where this path divides by zero, the scalar one raises
+    ZeroDivisionError); the caller takes such rows through the scalar path.
     """
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
     b0, b1 = b[:, 0], b[:, 1]
@@ -162,16 +186,10 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         disc = fro2 * fro2 - 4.0 * d * d
         smax = np.sqrt(0.5 * (fro2 + np.sqrt(np.where(disc > 0.0, disc, 0.0))))
         smin = np.abs(d) / smax
-        ok = ((fro2 > 1e-150) & (fro2 < 1e150) & (smin > 0.0)
-              & (smax <= COND_LIMIT * smin) & np.isfinite(b).all(axis=1))
-        swap = np.abs(a10) > np.abs(a00)
-        p00, p01 = np.where(swap, a10, a00), np.where(swap, a11, a01)
-        p10, p11 = np.where(swap, a00, a10), np.where(swap, a01, a11)
-        q0, q1 = np.where(swap, b1, b0), np.where(swap, b0, b1)
-        l10 = p10 / p00
-        u11 = p11 - l10 * p01
-        x1 = (q1 - l10 * q0) / u11
-        x = np.stack(((q0 - p01 * x1) / p00, x1), axis=1)
+        ok = _in_band(fro2) & _regular(smax, smin) & np.isfinite(b).all(axis=1)
+        rows = np.where(_pivot_swaps(a00, a10),
+                        (a10, a11, a00, a01, b1, b0), (a00, a01, a10, a11, b0, b1))
+        x = np.stack(_eliminate(*rows), axis=1)
     ok &= np.isfinite(x).all(axis=1)
     return x, ok
 

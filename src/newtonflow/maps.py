@@ -36,8 +36,14 @@ class NonFiniteError(Exception):
     """Evaluation overflowed or produced NaN."""
 
     def __init__(self, name: str, x):
+        self.name = name
         self.x = np.asarray(x, dtype=float)
         super().__init__(f"map {name!r} produced non-finite values at {self.x.tolist()}")
+
+    def __reduce__(self):
+        # rebuilt from (name, x), not from the message, when a scan's worker
+        # process hands it back
+        return type(self), (self.name, self.x)
 
 
 class UnknownMapError(KeyError):
@@ -78,12 +84,20 @@ class C1Map:
     fn_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def eval(self, x) -> np.ndarray:
+    def _checked(self, fn, x) -> np.ndarray:
+        """fn at the validated x.  An OverflowError in fn or a non-finite
+        value raises NonFiniteError, which names the map and the point."""
         x = as_vector(x, self.dim)
-        y = np.asarray(self.fn(x), dtype=float)
+        try:
+            y = np.asarray(fn(x), dtype=float)
+        except OverflowError:
+            raise NonFiniteError(self.name, x) from None
         if not np.all(np.isfinite(y)):
             raise NonFiniteError(self.name, x)
         return y
+
+    def eval(self, x) -> np.ndarray:
+        return self._checked(self.fn, x)
 
     def eval_rows(self, block) -> np.ndarray:
         """``eval`` of every row of an (N, dim) block, as one (N, dim) array.
@@ -103,15 +117,13 @@ class C1Map:
                 return y
         return np.array([self.eval(x) for x in block]).reshape(len(block), self.dim)
 
+    @property
+    def jac_or_fd(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``jac``, or central finite differences for a map without one."""
+        return self.jac if self.jac is not None else self._fd_jacobian
+
     def jacobian(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
-        if self.jac is not None:
-            j = np.asarray(self.jac(x), dtype=float)
-        else:
-            j = self._fd_jacobian(x)
-        if not np.all(np.isfinite(j)):
-            raise NonFiniteError(self.name, x)
-        return j
+        return self._checked(self.jac_or_fd, x)
 
     def _fd_jacobian(self, x: np.ndarray) -> np.ndarray:
         n = self.dim
@@ -258,7 +270,7 @@ def _exp_fn(x):
 
 
 def _exp_jac(x):
-    return np.array(((math.exp(x[0]) if x[0] < 709.0 else math.inf,),))
+    return _exp_fn(x).reshape(1, 1)
 
 
 def _linear_fn(a, x):
@@ -382,12 +394,5 @@ def registry_entries() -> list[MapRegistryEntry]:
 
 def list_maps() -> list[dict]:
     """One dict per registry entry, the `list-maps` wire format."""
-    return [
-        {
-            "key": e.key,
-            "dim": e.dim,
-            "description": e.description,
-            "paper_ref": e.paper_ref,
-        }
-        for e in registry_entries()
-    ]
+    fields = ("key", "dim", "description", "paper_ref")
+    return [{name: getattr(e, name) for name in fields} for e in registry_entries()]

@@ -122,7 +122,7 @@ def test_hadamard_affine_omega_closed_form():
 
 
 def test_hadamard_smoothing_continuity():
-    k = aux_hadamard(lambda s: 1.0 + s, rho0=1.0)
+    k = aux_hadamard(lambda s: 1.0 + s)
     eps = 1e-7
     inner = k.k(np.array([1.0 - eps, 0.0]))
     outer = k.k(np.array([1.0 + eps, 0.0]))

@@ -350,3 +350,37 @@ def test_handled_overflow_prints_no_numpy_warning(argv):
     err = subprocess.run([sys.executable, "-m", "newtonflow.cli", *argv], env=env,
                          capture_output=True, text=True, timeout=120).stderr
     assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("argv, point", [
+    (["solve", "--map", "zampieri-ex5", "--target", "1,0", "--start", "800,1"], "[800.0, 1.0]"),
+    # one cell's seed ends the whole scan
+    (["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--box", "700,720,-1,1",
+      "--res", "3", "--workers", "1"], "[710.0, -0.6666666666666667]"),
+])
+def test_overflow_at_a_given_point_names_the_map_and_the_point(capsys, argv, point):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: map 'zampieri-ex5' produced non-finite values at {point}\n"
+
+
+def test_pooled_scan_reports_a_worker_overflow_like_the_serial_one(capsys):
+    argv = ["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--box", "700,720,-1,1",
+            "--res", "9"]
+    assert main(argv + ["--workers", "1"]) == 1
+    serial = capsys.readouterr().err
+    assert main(argv + ["--workers", "2"]) == 1
+    assert capsys.readouterr().err == serial
+
+
+def test_cor22_skips_samples_where_the_residual_overflows(capsys):
+    # y* - f(x) = 1e308 - (-1e308) overflows on the three grid points with x = -1
+    code, out = _run(capsys, ["certify", "--map", "linear", "--A", "1e308,0,0,1e308",
+                              "--criterion", "cor22", "--x0", "1,0",
+                              "--grid", "-1,1,-1,1,3"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["samples_used"], doc["samples_skipped_singular"]) == (6, 3)
+    # F(x) = (1, 0) - x, so x . F(x) <= 0 on the kept points, with 0 at the origin
+    assert doc["verdict"] == "satisfied" and doc["extremal_value"] == 0.0

@@ -406,12 +406,41 @@ def test_newton_fields_fall_back_to_newton_field(m, dim):
     assert _outcomes(newton_fields(m, pts, target)) == _outcomes(_scalar_fields(m, pts, target))
 
 
+def _reciprocal_fn(x):
+    xi, eta = x.tolist()
+    return np.array((1.0 / xi, eta))   # ZeroDivisionError at xi == 0
+
+
+def _reciprocal_jac(x):
+    xi = x.tolist()[0]
+    return np.array(((-1.0 / (xi * xi), 0.0), (0.0, 1.0)))
+
+
+def _reciprocal_fn_rows(x):
+    return np.stack((1.0 / x[:, 0], x[:, 1]), axis=1)   # inf at xi == 0
+
+
+def _reciprocal_jac_rows(x):
+    j = np.zeros((len(x), 2, 2))
+    j[:, 0, 0] = -1.0 / (x[:, 0] * x[:, 0])
+    j[:, 1, 1] = 1.0
+    return j
+
+
+# (1/xi, eta) with row forms: a planar map whose evaluator raises an error
+# that is not a sample error
+RECIPROCAL = C1Map("reciprocal", 2, _reciprocal_fn, _reciprocal_jac,
+                   fn_rows=_reciprocal_fn_rows, jac_rows=_reciprocal_jac_rows)
+
+
 def test_newton_fields_raise_where_the_point_loop_raises():
-    # f(x) - y* overflows to -inf in the second block: newton_field's input
-    # check raises ValueError, after the rows before it were yielded
-    pts = np.random.default_rng(33).uniform(-6.0, 6.0, (1600, 2))
-    pts[1500] = (709.5, 0.0)
-    target = (-1.7e308, 0.0)
-    got = _outcomes(newton_fields(ZAMP, pts, target))
-    assert got == _outcomes(_scalar_fields(ZAMP, pts, target))
-    assert got[-1] is ValueError and len(got) == 1501
+    # the evaluator raises ZeroDivisionError in the second block: the
+    # iteration ends there, after the rows before it were yielded
+    pts = np.random.default_rng(33).uniform(1.0, 6.0, (1600, 2))
+    pts[1500] = (0.0, 1.0)
+    target = (0.5, 0.0)
+    with np.errstate(divide="ignore"):
+        got = _outcomes(newton_fields(RECIPROCAL, pts, target))
+    assert got == _outcomes(_scalar_fields(RECIPROCAL, pts, target))
+    assert got[-1] is ZeroDivisionError and len(got) == 1501
+    assert all(f is not None for _, f in got[:-1])
