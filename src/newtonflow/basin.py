@@ -189,7 +189,7 @@ def injectivity_probe(
     centers = grid.converged_centers()
     if len(centers) < 2:
         raise ValueError("need at least two converged cells")
-    values = np.array([m.eval(c) for c in centers])
+    values = m.eval_rows(centers)
 
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(centers), size=(int(pairs * 1.1) + 16, 2))

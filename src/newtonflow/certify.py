@@ -112,6 +112,15 @@ def _unit_directions(rng, count: int, dim: int) -> np.ndarray:
     return d
 
 
+def _check_draw(radius: float, count: int) -> None:
+    """The rule of every ball and sphere draw: a positive, finite radius and
+    at least one sample."""
+    if not 0.0 < radius < math.inf:  # NaN fails too
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+
+
 @dataclass(frozen=True)
 class _RadialSampler:
     radius: float
@@ -119,10 +128,7 @@ class _RadialSampler:
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        _check_draw(self.radius, self.count)
 
 
 class BallSampler(_RadialSampler):
@@ -144,6 +150,7 @@ class SphereSampler(_RadialSampler):
 
 
 def _sphere_points(dim: int, radius: float, count: int, rng) -> np.ndarray:
+    _check_draw(radius, count)
     d = _unit_directions(rng, count, dim)
     if dim == 1:
         # random signs only; make both boundary points present
@@ -655,8 +662,12 @@ def check_coercive_map(m: C1Map, radii: Sequence[float] | None = None,
     only ever provide evidence here, not proof.
     """
     radii = (1.0, 2.0, 4.0, 8.0, 16.0) if radii is None else tuple(float(r) for r in radii)
+    if not radii:
+        raise ValueError("radii must not be empty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
+    for r in radii:
+        _check_draw(r, samples_per_sphere)
     if not 0.0 < growth_factor < math.inf:  # NaN fails too
         raise ValueError("growth_factor must be positive and finite")
 
@@ -683,8 +694,6 @@ def check_ball_criterion(m: C1Map, x0, r: float, sphere_samples: int = 1024,
     All values <= POINT_SLACK certifies the invertibility ball; the reported
     min/max witnesses expose the actual sign profile either way.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
     x0 = as_vector(x0, m.dim)
     f0 = m.eval(x0)
     rng = np.random.default_rng(seed)
@@ -725,8 +734,6 @@ def check_bounded_inverse_on_ball(m: C1Map, r: float, count: int = 512,
     is non-finite or undefined are skipped and not counted; samples_used
     counts the points evaluated, up to and including a singular one.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
     ball = BallSampler(r, count, seed).points(m.dim)
     shell = _sphere_points(m.dim, r, max(count // 4, 2 * m.dim), rng)

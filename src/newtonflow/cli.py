@@ -51,7 +51,7 @@ from .flow import (
     integrate,
     newton_fields,
 )
-from .maps import UnknownMapError, builtin, list_maps
+from .maps import UnknownMapError, builtin, list_maps, zampieri_radial
 
 SCHEMA = 1
 
@@ -460,7 +460,7 @@ def cmd_verify_ex5(o):
             worst = math.inf
             continue
         lhs = float(x @ f_vec)
-        ref = m.radial_origin(x)
+        ref = zampieri_radial(x)
         worst = max(worst, abs(lhs - ref) / (1.0 + max(abs(lhs), abs(ref))))
     checks.append({
         "name": "pipeline-oracle",

@@ -155,16 +155,17 @@ def newton_fields(m: C1Map, pts, target):
     with linalg._solve_rows, whose rows equal the scalar path bit for bit.
     Every row the block cannot vouch for, and every row of any other map,
     runs ``newton_field`` when it is yielded, so values, skips and
-    exceptions come in the order of a per-point loop.
+    exceptions come in the order of a per-point loop.  An exception raised
+    by a row form propagates when its block is reached.
     """
     batched = m.dim == 2 and m.fn_rows is not None and m.jac_rows is not None
     if batched:
         target = as_vector(target, 2)
     for lo in range(0, len(pts), FIELD_BLOCK):
         block = pts[lo:lo + FIELD_BLOCK]
-        fields, ok = _field_rows(m, block, target) if batched else (None, None)
+        fields, ok = _field_rows(m, block, target) if batched else (None, [False] * len(block))
         for i, x in enumerate(block):
-            if ok is not None and ok[i]:
+            if ok[i]:
                 yield x, fields[i]
                 continue
             try:
@@ -175,15 +176,12 @@ def newton_fields(m: C1Map, pts, target):
 
 
 def _field_rows(m: C1Map, block: np.ndarray, target: np.ndarray):
-    """(F, ok) for a block of a planar map with row forms; (None, None) if a
-    row form raises, which sends the whole block through the scalar path."""
+    """(F, ok) for a block of a planar map with row forms: ok marks the rows
+    whose field F the block computed."""
     block = np.asarray(block, dtype=float)
     with np.errstate(all="ignore"):
-        try:
-            fx = np.asarray(m.fn_rows(block), dtype=float)
-            jac = np.asarray(m.jac_rows(block), dtype=float)
-        except Exception:
-            return None, None
+        fx = np.asarray(m.fn_rows(block), dtype=float)
+        jac = np.asarray(m.jac_rows(block), dtype=float)
         fields, ok = linalg._solve_rows(jac, target - fx)
     ok &= np.isfinite(block).all(axis=1)
     return fields, ok

@@ -1,9 +1,11 @@
 """C1 maps f: R^n -> R^n with analytic or finite-difference Jacobians.
 
-A C1Map bundles an evaluator, an optional closed-form Jacobian and, for the
-oracle maps, closed-form companions (inverse Jacobian, Newton field toward
-f(0), and the radial product x . F(x)) that the test batteries compare the
-numerical pipeline against.
+A C1Map bundles an evaluator, an optional closed-form Jacobian and optional
+row forms of both.  The oracle map zampieri-ex5 also has closed forms of its
+inverse Jacobian, its Newton field toward f(0) and the radial product
+x . F(x), as the plain functions zampieri_inv_jac, zampieri_field and
+zampieri_radial, which the test batteries compare the numerical pipeline
+against.
 
 The registry is one table of entries; each builds its map from plain
 module-level evaluators, bound to their parameters (a matrix, a
@@ -58,29 +60,20 @@ class C1Map:
     to central finite differences with per-coordinate steps
     h_i = FD_REL_STEP * max(1, |x_i|).
 
-    The companion fields are closed-form quantities available only for
-    oracle maps; they are never used by the solver pipeline itself:
-
-    - ``inv_jac(x)``      inverse Jacobian f'(x)^{-1}
-    - ``field_origin(x)`` Newton field -f'(x)^{-1}(f(x) - f(0))
-    - ``radial_origin(x)`` the scalar x . field_origin(x)
-
     ``fn_rows`` and ``jac_rows`` are optional row forms of ``fn`` and
     ``jac`` for sampled checks: they take an (N, dim) block of points and
     return (N, dim) values and (N, dim, dim) Jacobians.  Row i must equal
     ``fn(X[i])`` / ``jac(X[i])`` bit for bit wherever that is finite; a row
-    the form cannot compute may come back non-finite, and such rows, or a
-    whole block whose row form raises, go through ``fn`` / ``jac`` one by
-    one.  A map without them is evaluated row by row.
+    the form cannot compute comes back non-finite, and such rows go through
+    ``fn`` / ``jac`` one by one.  A row form never raises for that; an
+    exception it raises propagates like one from any other evaluator.  A map
+    without them is evaluated row by row.
     """
 
     name: str
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    inv_jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    field_origin: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    radial_origin: Optional[Callable[[np.ndarray], float]] = None
     fn_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -102,18 +95,15 @@ class C1Map:
     def eval_rows(self, block) -> np.ndarray:
         """``eval`` of every row of an (N, dim) block, as one (N, dim) array.
 
-        Uses ``fn_rows`` when the map has one.  Without it, or when it raises
-        or yields a non-finite value, the rows go through ``eval`` one by
-        one, so the error raised is that of the first bad row.
+        Uses ``fn_rows`` when the map has one.  Without it, or when it yields
+        a non-finite value, the rows go through ``eval`` one by one, so the
+        error raised is that of the first bad row.
         """
         block = np.asarray(block, dtype=float)
         rows_fit = block.ndim == 2 and block.shape[1] == self.dim
         if self.fn_rows is not None and rows_fit and np.isfinite(block).all():
-            try:
-                y = np.asarray(self.fn_rows(block), dtype=float)
-            except Exception:
-                y = None  # the row-by-row loop below raises the error in its place
-            if y is not None and np.isfinite(y).all():
+            y = np.asarray(self.fn_rows(block), dtype=float)
+            if np.isfinite(y).all():
                 return y
         return np.array([self.eval(x) for x in block]).reshape(len(block), self.dim)
 
@@ -138,11 +128,7 @@ class C1Map:
         return j
 
     def with_perturbed_jacobian(self, eps: float) -> "C1Map":
-        """Fault-injection hook: scale the analytic Jacobian by (1 + eps).
-
-        Companions are left untouched on purpose: they are the oracles a
-        perturbed pipeline is supposed to disagree with.
-        """
+        """Fault-injection hook: scale the analytic Jacobian by (1 + eps)."""
         if self.jac is None:
             raise ValueError("map has no analytic Jacobian to perturb")
         jac_rows = None if self.jac_rows is None else partial(_scaled_jac, self.jac_rows, 1.0 + eps)
@@ -173,8 +159,9 @@ def fd_jacobian_check(m: C1Map, probes) -> float:
 # zampieri-ex5 is the planar map
 #     f(xi, eta) = e^xi / sqrt(1 + eta^2) * (1, eta),
 # a local diffeomorphism of R^2 that is injective but not onto (its first
-# component is positive).  All of its companion quantities below are closed
-# forms, which makes it the toolkit's main end-to-end oracle.
+# component is positive).  Its inverse Jacobian, Newton field and radial
+# product below are closed forms, which makes it the toolkit's main
+# end-to-end oracle.
 
 
 # fn and jac run in the flow's hot loop: unpacking with tolist() gives Python
@@ -223,22 +210,24 @@ def _zampieri_jac_rows(x):
     return j
 
 
-def _zampieri_inv_jac(x):
+def zampieri_inv_jac(x):
+    """zampieri-ex5's inverse Jacobian f'(x)^{-1}."""
     xi, eta = x
     t = 1.0 + eta * eta
     c = math.exp(-xi) / math.sqrt(t)
     return np.array(((c, c * eta), (-c * eta * t, c * t)))
 
 
-def _zampieri_field(x):
-    # -f'(x)^{-1} (f(x) - f(0)), with f(0) = (1, 0)
+def zampieri_field(x):
+    """zampieri-ex5's Newton field -f'(x)^{-1} (f(x) - f(0)), with f(0) = (1, 0)."""
     xi, eta = x
     t = 1.0 + eta * eta
     c = math.exp(-xi) / math.sqrt(t)
     return np.array((c - 1.0, -c * eta * t))
 
 
-def _zampieri_radial(x):
+def zampieri_radial(x):
+    """The radial product x . zampieri_field(x)."""
     xi, eta = x
     t = 1.0 + eta * eta
     e = math.exp(-xi)
@@ -251,10 +240,6 @@ def _arctan_fn(x):
 
 def _arctan_jac(x):
     return np.array(((1.0 / (1.0 + x[0] * x[0]),),))
-
-
-def _arctan_inv_jac(x):
-    return np.array(((1.0 + x[0] * x[0],),))
 
 
 def _cubic_fn(x):
@@ -329,16 +314,14 @@ _REGISTRY: dict[str, MapRegistryEntry] = {e.key: e for e in (
         "inverse Jacobian, Newton field and radial product as oracles",
         "Zampieri (1992), nonsurjective planar example",
         lambda: C1Map("zampieri-ex5", 2, _zampieri_fn, _zampieri_jac,
-                      inv_jac=_zampieri_inv_jac, field_origin=_zampieri_field,
-                      radial_origin=_zampieri_radial, fn_rows=_zampieri_fn_rows,
-                      jac_rows=_zampieri_jac_rows),
+                      fn_rows=_zampieri_fn_rows, jac_rows=_zampieri_jac_rows),
     ),
     MapRegistryEntry(
         "arctan1d", 1,
         "x -> arctan x: injective onto (-pi/2, pi/2); inverse-derivative growth "
         "1 + x^2 defeats the Hadamard-Levy integral condition",
         "classic bounded counterexample for surjectivity criteria",
-        lambda: C1Map("arctan1d", 1, _arctan_fn, _arctan_jac, inv_jac=_arctan_inv_jac),
+        lambda: C1Map("arctan1d", 1, _arctan_fn, _arctan_jac),
     ),
     MapRegistryEntry(
         "linear", None,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,16 @@ def test_injectivity_probe_planar_oracle_clean():
     assert not rep.collision_found
     assert rep.pairs_checked == 50000
     assert rep.min_ratio > 1e-4
+
+
+def test_injectivity_probe_row_form_is_the_point_loop():
+    # the probe evaluates its centers with eval_rows: a map without row forms
+    # goes through eval one point at a time, and the report must not change
+    grid = scan_basin(ZAMP, (0.0, 0.0), (-6, 6, -6, 6), 13, workers=1)
+    pointwise = dataclasses.replace(ZAMP, fn_rows=None, jac_rows=None)
+    got = [injectivity_probe(grid, m, pairs=5000, seed=2).to_json_dict()
+           for m in (ZAMP, pointwise)]
+    assert got[0] == got[1]
 
 
 def test_injectivity_probe_linear_ratio_bound():

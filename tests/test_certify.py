@@ -25,7 +25,7 @@ from newtonflow.certify import (
     dplus,
 )
 from newtonflow.flow import newton_field
-from newtonflow.maps import C1Map, builtin
+from newtonflow.maps import C1Map, builtin, zampieri_inv_jac, zampieri_radial
 
 ZAMP = builtin("zampieri-ex5")
 EYE2 = builtin("linear", a=np.eye(2))
@@ -206,7 +206,7 @@ def test_radial_product_pipeline_matches_closed_form():
         x = rng.standard_normal(2)
         x *= rng.uniform(0, 5) / max(np.linalg.norm(x), 1e-12)
         lhs = float(x @ newton_field(ZAMP, x, f0))
-        ref = ZAMP.radial_origin(x)
+        ref = zampieri_radial(x)
         assert abs(lhs - ref) <= 1e-9 * (1.0 + max(abs(lhs), abs(ref)))
 
 
@@ -371,6 +371,25 @@ def test_coercive_growth_factor_must_be_positive_and_finite(factor):
         check_coercive_map(ZAMP, growth_factor=factor)
 
 
+def test_every_ball_and_sphere_draw_needs_a_radius_and_a_sample():
+    cubic = builtin("cubic1d")
+    with pytest.raises(ValueError, match="radii must not be empty"):
+        check_coercive_map(cubic, radii=[])
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        for draw in (lambda: BallSampler(bad, 10), lambda: SphereSampler(bad, 10),
+                     lambda: check_coercive_map(cubic, radii=[bad]),
+                     lambda: check_ball_criterion(cubic, (0.0,), bad),
+                     lambda: check_bounded_inverse_on_ball(cubic, bad)):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                draw()
+    for draw in (lambda: BallSampler(1.0, 0), lambda: SphereSampler(1.0, 0),
+                 lambda: check_coercive_map(cubic, samples_per_sphere=0),
+                 lambda: check_ball_criterion(cubic, (0.0,), 1.0, sphere_samples=0),
+                 lambda: check_bounded_inverse_on_ball(cubic, 1.0, count=0)):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            draw()
+
+
 def test_ball_criterion_linear_and_shrinking_radius():
     m = builtin("linear", a=np.eye(2))
     cert = check_ball_criterion(m, (0.0, 0.0), 2.0, 400, seed=1)
@@ -387,7 +406,7 @@ def test_ball_criterion_planar_oracle_sign_profile():
     # reported extremes must match the closed-form radial product at the witnesses
     for key, val in (("min_witness", cert.stats["min"]), ("max_witness", cert.stats["max"])):
         w = np.asarray(cert.stats[key])
-        assert ZAMP.radial_origin(w) == pytest.approx(val, rel=1e-9, abs=1e-12)
+        assert zampieri_radial(w) == pytest.approx(val, rel=1e-9, abs=1e-12)
     # measured profile on the unit circle is entirely nonpositive
     assert cert.stats["max"] <= 1e-9
     assert cert.stats["min"] < -0.5
@@ -441,12 +460,12 @@ def test_bounded_inverse_planar_oracle_cross_check():
     import newtonflow.linalg as linalg
 
     # value at the witness agrees with the closed-form inverse Jacobian norm
-    ref = linalg.operator_norm(ZAMP.inv_jac(s.witness))
+    ref = linalg.operator_norm(zampieri_inv_jac(s.witness))
     assert s.value == pytest.approx(ref, rel=1e-9)
     # and a fine boundary sweep cannot beat the sampled sup by much
     ang = np.linspace(0, 2 * np.pi, 2000)
     grid_sup = max(
-        linalg.operator_norm(ZAMP.inv_jac(np.array((np.cos(a), np.sin(a)))))
+        linalg.operator_norm(zampieri_inv_jac(np.array((np.cos(a), np.sin(a)))))
         for a in ang
     )
     assert s.value >= 0.97 * grid_sup

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -9,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newtonflow.cli import RunConfig, UsageError, main
+from newtonflow import basin, certify
+from newtonflow.cli import _FIELDS, RunConfig, UsageError, main
+from newtonflow.flow import FlowOptions
 
 
 def _run(capsys, argv):
@@ -272,12 +276,35 @@ def test_seeded_outputs_byte_identical(capsys):
     ["certify", "--map", "zampieri-ex5", "--criterion", "coercive", "--dirs", "x"],
     ["certify", "--map", "zampieri-ex5", "--criterion", "cor22", "--omega", "wat:1",
      "--grid", "-2,2,-2,2,5"],
+    # every ball and sphere draw needs a positive, finite radius and a sample
+    ["certify", "--map", "cubic1d", "--criterion", "ball", "--r", "2", "--count", "0"],
+    ["certify", "--map", "cubic1d", "--criterion", "coercive", "--spc", "0"],
+    ["certify", "--map", "cubic1d", "--criterion", "ball", "--r", "nan"],
+    ["certify", "--map", "cubic1d", "--criterion", "ball", "--r", "inf"],
+    ["certify", "--map", "cubic1d", "--criterion", "inverse-bound", "--r", "nan"],
+    ["certify", "--map", "cubic1d", "--criterion", "inverse-bound", "--r", "inf"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "thm21", "--ball", "nan,10"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "thm21", "--sphere", "inf,10"],
+    ["certify", "--map", "cubic1d", "--criterion", "coercive", "--radii", "1,nan"],
+    ["certify", "--map", "cubic1d", "--criterion", "coercive", "--radii=-4,-2,-1"],
 ])
 def test_bad_values_exit_one_without_traceback(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["--criterion", "ball", "--r", "nan"], "nan"),
+    (["--criterion", "inverse-bound", "--r", "inf"], "inf"),
+    (["--criterion", "thm21", "--ball", "nan,10"], "nan"),
+    (["--criterion", "thm21", "--sphere", "inf,10"], "inf"),
+    (["--criterion", "coercive", "--radii", "1,nan"], "nan"),
+])
+def test_non_finite_radius_is_named(capsys, argv, value):
+    assert main(["certify", "--map", "cubic1d"] + argv) == 1
+    assert capsys.readouterr().err == f"error: radius must be positive and finite, got {value}\n"
 
 
 @pytest.mark.parametrize("criterion, flag, value", [
@@ -322,6 +349,31 @@ def test_non_finite_values_are_strict_json(capsys):
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["verdict"] == "violated"
     assert doc["stats"]["coercivity"] == "decreasing"
+
+
+def _default_of(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+# (subcommand, option, the library default its default text repeats)
+_REPEATED_DEFAULTS = [
+    *[(command, f.name.replace("_", "-"), getattr(opts, f.name))
+      for command, opts in (("solve", FlowOptions()), ("basin", basin.SCAN_OPTIONS))
+      for f in dataclasses.fields(FlowOptions)],
+    ("certify", "dirs", _default_of(certify.check_theorem31, "n_dirs")),
+    ("certify", "spc", _default_of(certify.check_coercive_map, "samples_per_sphere")),
+    ("certify", "growth-factor", _default_of(certify.check_coercive_map, "growth_factor")),
+    ("certify", "count", _default_of(certify.check_bounded_inverse_on_ball, "count")),
+]
+
+
+@pytest.mark.parametrize("command, name, expected", _REPEATED_DEFAULTS)
+def test_option_defaults_repeat_the_library_defaults(command, name, expected):
+    # the option table writes these defaults as text, pinned by options.json;
+    # a change on either side alone must fail here
+    [(default, parse)] = [(d, p) for n, d, _h, p in _FIELDS[command] if n == name]
+    value = parse(default)
+    assert value == expected and type(value) is type(expected)
 
 
 def test_import_does_not_load_scipy():

@@ -13,6 +13,7 @@ from newtonflow.flow import (
     FlowOptions,
     FlowStatus,
     Trajectory,
+    _flow_then_polish,
     _newton_polish,
     decay_drift,
     direction_deviation,
@@ -21,7 +22,7 @@ from newtonflow.flow import (
     newton_fields,
     solve_inverse,
 )
-from newtonflow.maps import C1Map, builtin
+from newtonflow.maps import C1Map, builtin, zampieri_field
 
 ZAMP = builtin("zampieri-ex5")
 F_ORIGIN = (1.0, 0.0)  # f(0,0) for the planar oracle map
@@ -46,7 +47,7 @@ def test_newton_field_closed_form():
     for _ in range(100):
         x = rng.uniform(-3, 3, size=2)
         np.testing.assert_allclose(
-            newton_field(ZAMP, x, F_ORIGIN), ZAMP.field_origin(x), rtol=1e-9, atol=1e-12
+            newton_field(ZAMP, x, F_ORIGIN), zampieri_field(x), rtol=1e-9, atol=1e-12
         )
 
 
@@ -269,6 +270,28 @@ def test_solve_inverse_does_less_integrator_work():
     assert work[0] <= 0.6 * work[1], work
 
 
+# x -> x^3: toward 0 guarded Newton only thirds the error per step, so eight
+# steps from the handoff point miss residual_tol
+CUBE_1D = C1Map("x-cubed", 1, lambda x: x**3, lambda x: np.array(((3.0 * x[0] ** 2,),)))
+
+
+def test_solve_inverse_falls_back_to_the_full_flow(monkeypatch):
+    import newtonflow.flow as flow_mod
+
+    polish_steps = []
+
+    def spy(m, start, target, opts, steps=3):
+        polish_steps.append(steps)
+        return _flow_then_polish(m, start, target, opts, steps)
+
+    monkeypatch.setattr(flow_mod, "_flow_then_polish", spy)
+    x = solve_inverse(CUBE_1D, (0.0,), (1.0,))
+    assert polish_steps == [8, 3]
+    full = _flow_then_polish(CUBE_1D, (1.0,), (0.0,), FlowOptions())[1]
+    assert x.tobytes() == full.tobytes()
+    assert abs(x[0] ** 3) <= FlowOptions().residual_tol
+
+
 def test_trajectory_csv_and_summary(tmp_path):
     traj = integrate(ZAMP, (1.0, 1.0), F_ORIGIN, FlowOptions())
     path = tmp_path / "traj.csv"
@@ -431,6 +454,22 @@ def _reciprocal_jac_rows(x):
 # that is not a sample error
 RECIPROCAL = C1Map("reciprocal", 2, _reciprocal_fn, _reciprocal_jac,
                    fn_rows=_reciprocal_fn_rows, jac_rows=_reciprocal_jac_rows)
+
+
+def _raising_rows(x):
+    raise RuntimeError("row form failed")
+
+
+def test_a_raising_row_form_propagates():
+    # the row-form contract has no fallback for a form that raises: the
+    # exception reaches the caller, as one from fn or jac would
+    pts = np.random.default_rng(35).uniform(-2.0, 2.0, (10, 2))
+    for m in (dataclasses.replace(ZAMP, fn_rows=_raising_rows),
+              dataclasses.replace(ZAMP, jac_rows=_raising_rows)):
+        with pytest.raises(RuntimeError, match="row form failed"):
+            list(newton_fields(m, pts, F_ORIGIN))
+    with pytest.raises(RuntimeError, match="row form failed"):
+        dataclasses.replace(ZAMP, fn_rows=_raising_rows).eval_rows(pts)
 
 
 def test_newton_fields_raise_where_the_point_loop_raises():
