@@ -131,31 +131,31 @@ class _RadialSampler:
         _check_draw(self.radius, self.count)
 
 
+def _ball(rng, dim: int, radius: float, count: int) -> np.ndarray:
+    """``count`` uniform points in the ball ||x|| <= radius, one per row."""
+    _check_draw(radius, count)
+    d = _unit_directions(rng, count, dim)
+    return d * (radius * rng.random(count) ** (1.0 / dim))[:, None]
+
+
+def _sphere(rng, dim: int, radius: float, count: int) -> np.ndarray:
+    """``count`` uniform points on the sphere ||x|| = radius (in 1-D, random signs)."""
+    _check_draw(radius, count)
+    return radius * _unit_directions(rng, count, dim)
+
+
 class BallSampler(_RadialSampler):
     """Uniform samples in the ball ||x|| <= radius, reproducible by seed."""
 
     def points(self, dim: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        d = _unit_directions(rng, self.count, dim)
-        r = self.radius * rng.random(self.count) ** (1.0 / dim)
-        return d * r[:, None]
+        return _ball(np.random.default_rng(self.seed), dim, self.radius, self.count)
 
 
 class SphereSampler(_RadialSampler):
     """Uniform samples on the sphere ||x|| = radius, reproducible by seed."""
 
     def points(self, dim: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        return self.radius * _unit_directions(rng, self.count, dim)
-
-
-def _sphere_points(dim: int, radius: float, count: int, rng) -> np.ndarray:
-    _check_draw(radius, count)
-    d = _unit_directions(rng, count, dim)
-    if dim == 1:
-        # random signs only; make both boundary points present
-        d = np.concatenate([d, [[1.0], [-1.0]]])
-    return radius * d
+        return _sphere(np.random.default_rng(self.seed), dim, self.radius, self.count)
 
 
 def _quad_inverse(omega, lo: float, hi: float, limit: int) -> float:
@@ -338,7 +338,7 @@ def _sphere_minima(value, dim: int, radii, count: int, rng) -> tuple[list, list]
     """
     minima, witnesses = [], []
     for r in radii:
-        pts = _sphere_points(dim, r, count, rng)
+        pts = _sphere(rng, dim, r, count)
         vals = np.array([_value_or_inf(value, p) for p in pts])
         if not np.isfinite(vals).any():
             break
@@ -355,10 +355,10 @@ def _flattening(increments: np.ndarray) -> bool:
     return late <= FLATTEN_RATIO * max(early, 0.0) or late <= 1e-12
 
 
-def coercivity_evidence(aux: AuxFunction, dim: int,
-                        seed: int = 0) -> tuple[str, Optional[np.ndarray], dict]:
+def coercivity_evidence(aux: AuxFunction, dim: int, seed: int | np.random.Generator = 0
+                        ) -> tuple[str, Optional[np.ndarray], dict]:
     """Probe k(x) -> inf as ||x|| -> inf on the nested spheres of radii
-    _DOUBLING_RADII, _EVIDENCE_SAMPLES seeded samples each.
+    _DOUBLING_RADII, _EVIDENCE_SAMPLES samples each from default_rng(seed).
 
     Returns (status, witness, details) with status one of:
     ``ok``          sphere minima grow without saturating;
@@ -415,7 +415,7 @@ def _no_samples(criterion: str, threshold, skipped: int, seed) -> Certificate:
 
 
 def _dplus_sup(criterion: str, m: C1Map, k: AuxFunction, samples,
-               co_seed: int, seed, **extra_stats) -> Certificate:
+               co_seed: int | np.random.Generator, seed, **extra_stats) -> Certificate:
     """Sampled sup of max_v D+_v k(x) over ``samples``, pairs (x, directions),
     graded.
 
@@ -534,13 +534,13 @@ def check_theorem31(m: C1Map, k: AuxFunction, sampler_x, n_dirs: int = 16,
                     seed: int = 0) -> Certificate:
     """Sampled sup of D+_v k(x) over v = f'(x)^{-1} u, u on the unit sphere.
 
-    Directions are the 2n axis vectors plus n_dirs seeded random units,
-    shared across sample points.  Satisfied additionally requires positive
-    coercivity evidence for k (the bijectivity argument needs k coercive).
+    Directions are the 2n axis vectors plus n_dirs seeded random units, shared
+    across sample points.  Satisfied also needs evidence that k is coercive
+    (the bijectivity argument needs it), drawn next from the same generator.
     """
     pts = sampler_x.points(m.dim)
-    axes = np.concatenate([np.eye(m.dim), -np.eye(m.dim)])
-    dirs = np.concatenate([axes, _unit_directions(np.random.default_rng(seed), n_dirs, m.dim)])
+    rng = np.random.default_rng(seed)
+    dirs = np.concatenate([np.eye(m.dim), -np.eye(m.dim), _unit_directions(rng, n_dirs, m.dim)])
 
     def inverse_images():
         for x in pts:
@@ -551,7 +551,7 @@ def check_theorem31(m: C1Map, k: AuxFunction, sampler_x, n_dirs: int = 16,
                 vs = None
             yield x, vs
 
-    return _dplus_sup("thm31", m, k, inverse_images(), seed, seed,
+    return _dplus_sup("thm31", m, k, inverse_images(), rng, seed,
                       n_dirs=int(dirs.shape[0]))
 
 
@@ -696,8 +696,7 @@ def check_ball_criterion(m: C1Map, x0, r: float, sphere_samples: int = 1024,
     """
     x0 = as_vector(x0, m.dim)
     f0 = m.eval(x0)
-    rng = np.random.default_rng(seed)
-    pts = x0 + _sphere_points(m.dim, r, sphere_samples, rng)
+    pts = x0 + _sphere(np.random.default_rng(seed), m.dim, r, sphere_samples)
 
     kept, vals = [], []
     for x, f_vec in newton_fields(m, pts, f0):
@@ -729,14 +728,15 @@ def check_bounded_inverse_on_ball(m: C1Map, r: float, count: int = 512,
 
     In R^n with continuous f' this sup is automatically finite; the value
     feeds solver diagnostics.  A singular sample short-circuits to +inf with
-    the offending point as witness.  Boundary sphere points are always
-    included since the sup is typically attained there.  Samples where f'
-    is non-finite or undefined are skipped and not counted; samples_used
-    counts the points evaluated, up to and including a singular one.
+    the offending point as witness.  ``count`` ball points, then
+    max(count // 4, 2n) points of the sphere ||x|| = r, where the sup is
+    typically attained, come from one generator.  Samples where f' is
+    non-finite or undefined are skipped and not counted; samples_used counts
+    the points evaluated, up to and including a singular one.
     """
     rng = np.random.default_rng(seed)
-    ball = BallSampler(r, count, seed).points(m.dim)
-    shell = _sphere_points(m.dim, r, max(count // 4, 2 * m.dim), rng)
+    ball = _ball(rng, m.dim, r, count)
+    shell = _sphere(rng, m.dim, r, max(count // 4, 2 * m.dim))
     pts = np.concatenate([ball, shell])
 
     sup = 0.0

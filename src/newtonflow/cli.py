@@ -197,7 +197,7 @@ _FIELDS = {
         ("grid", "", "grid sampler: lo,hi per axis then resolution", _grid),
         ("ball", "", "ball sampler: radius,count", _radius_count),
         ("sphere", "", "sphere sampler: radius,count", _radius_count),
-        ("radii", "", "sphere radii for coercive/hadamard evidence", _floats),
+        ("radii", "", "sphere radii (coercive)", _floats),
         ("spc", "128", "samples per sphere (coercive)", int),
         ("dirs", "16", "random directions (thm31)", int),
         ("r", "1", "ball/sphere radius (ball, inverse-bound)", float),
@@ -411,7 +411,7 @@ def cmd_certify(o):
         cert = certify_mod.check_theorem31(m, aux, _sampler(o, m.dim), n_dirs=o.dirs, seed=seed)
     elif o.criterion == "hadamard":
         omega = _needs_omega(o, "--criterion hadamard")
-        cert = certify_mod.check_hadamard(m, omega, _sampler(o, m.dim), radii=o.radii, seed=seed)
+        cert = certify_mod.check_hadamard(m, omega, _sampler(o, m.dim), seed=seed)
     elif o.criterion == "coercive":
         cert = certify_mod.check_coercive_map(
             m, radii=o.radii or None, samples_per_sphere=o.spc, seed=seed,

@@ -162,7 +162,7 @@ def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a00 = a.item()
         if not _regular(abs(a00), abs(a00)):
             raise SingularError(abs(a00), abs(a00))
-        return b / a00
+        return np.array((b.item() / a00,))
     _regular_extremes(a)
     return np.linalg.solve(a, b)
 

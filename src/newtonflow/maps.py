@@ -268,12 +268,12 @@ def _linear_jac(a, x):
 
 def _rot_poly_fn(eps, x):
     """Quarter-turn rotation plus a small odd cubic: (-eta + e*xi^3, xi + e*eta^3)."""
-    xi, eta = x
+    xi, eta = x.tolist()
     return np.array((-eta + eps * xi**3, xi + eps * eta**3))
 
 
 def _rot_poly_jac(eps, x):
-    xi, eta = x
+    xi, eta = x.tolist()
     # det = 1 + 9 e^2 xi^2 eta^2 >= 1: never singular.
     return np.array(((3.0 * eps * xi * xi, -1.0), (1.0, 3.0 * eps * eta * eta)))
 
