@@ -589,14 +589,13 @@ class OmegaPoly:
         return f"OmegaPoly({list(self.coeffs)})"
 
 
-def check_hadamard(m: C1Map, omega, sampler, radii: Sequence[float] | None = None,
-                   seed: int | None = None) -> Certificate:
+def check_hadamard(m: C1Map, omega, sampler, seed: int | None = None) -> Certificate:
     """Growth-bound criterion: ||f'(x)^{-1}|| <= omega(||x||), integral of
     1/omega divergent.
 
     Part (i) is checked pointwise on the samples.  Part (ii) is decided
     symbolically for OmegaPoly bounds; for arbitrary callables only numeric
-    evidence is collected and the verdict is capped at inconclusive.
+    evidence on _DOUBLING_RADII is collected and the verdict is capped at inconclusive.
     """
     pts = sampler.points(m.dim)
     seed = _seed_of(sampler, seed)
@@ -631,12 +630,10 @@ def check_hadamard(m: C1Map, omega, sampler, radii: Sequence[float] | None = Non
         verdict = Verdict.SATISFIED if pointwise_ok and diverges else Verdict.VIOLATED
     else:
         # user-supplied omega: numeric divergence evidence only
-        if radii is None:
-            radii = _DOUBLING_RADII
         integrals = []
         acc = 0.0
         lo = 0.0
-        for r in radii:
+        for r in _DOUBLING_RADII:
             acc += _quad_inverse(omega, lo, r, 200)
             integrals.append(acc)
             lo = r
@@ -692,7 +689,8 @@ def check_ball_criterion(m: C1Map, x0, r: float, sphere_samples: int = 1024,
     """Sign of (x - x0) . F(x) on the sphere ||x - x0|| = r.
 
     All values <= POINT_SLACK certifies the invertibility ball; the reported
-    min/max witnesses expose the actual sign profile either way.
+    min/max witnesses expose the actual sign profile either way.  In 1-D the draw
+    is random signs: both of x0 -+ r are checked with probability 1 - 2**(1 - sphere_samples).
     """
     x0 = as_vector(x0, m.dim)
     f0 = m.eval(x0)
@@ -730,9 +728,10 @@ def check_bounded_inverse_on_ball(m: C1Map, r: float, count: int = 512,
     feeds solver diagnostics.  A singular sample short-circuits to +inf with
     the offending point as witness.  ``count`` ball points, then
     max(count // 4, 2n) points of the sphere ||x|| = r, where the sup is
-    typically attained, come from one generator.  Samples where f' is
-    non-finite or undefined are skipped and not counted; samples_used counts
-    the points evaluated, up to and including a singular one.
+    typically attained, come from one generator; in 1-D the shell is random
+    signs, holding both -r and r with probability 1 - 2**(1 - max(count // 4, 2)).
+    Samples where f' is non-finite or undefined are skipped and not counted;
+    samples_used counts the points evaluated, up to and including a singular one.
     """
     rng = np.random.default_rng(seed)
     ball = _ball(rng, m.dim, r, count)

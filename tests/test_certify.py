@@ -349,6 +349,7 @@ def test_hadamard_user_omega_capped_inconclusive():
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert cert.stats["divergence_decided"] == "numeric-evidence"
     assert cert.stats["divergence"] == "growing"
+    assert len(cert.stats["integral_profile"]) == 11  # radii 1, 2, ..., 1024
 
 
 def test_omega_poly_validation_and_degree():
@@ -403,6 +404,17 @@ def test_every_ball_and_sphere_draw_needs_a_radius_and_a_sample():
                  lambda: check_bounded_inverse_on_ball(cubic, 1.0, count=0)):
         with pytest.raises(ValueError, match="count must be >= 1"):
             draw()
+
+
+def test_one_dimensional_sphere_draw_is_random_signs():
+    # The 1-D sphere {-r, r} is drawn as random signs, so a draw of count points
+    # holds both only with probability 1 - 2**(1 - count): one point checks one side.
+    one_side = [SphereSampler(2.0, 1, seed=seed).points(1) for seed in range(8)]
+    assert all(p.shape == (1, 1) and abs(p[0, 0]) == 2.0 for p in one_side)
+    assert set(SphereSampler(2.0, 64, seed=0).points(1)[:, 0]) == {-2.0, 2.0}
+    cert = check_ball_criterion(builtin("cubic1d"), (0.0,), 2.0, sphere_samples=1)
+    assert cert.samples_used == 1
+    assert abs(cert.witness[0]) == 2.0
 
 
 def test_ball_criterion_linear_and_shrinking_radius():
