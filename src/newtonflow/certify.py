@@ -475,12 +475,10 @@ def check_theorem21(m: C1Map, x0, k: AuxFunction, sampler, seed: int | None = No
     seed = _seed_of(sampler, seed)
 
     def along_field():
-        for x, f_vec in newton_fields(m, pts, f0):
-            if f_vec is None:
-                yield x, None
-            else:
+        for block, fields, ok in newton_fields(m, pts, f0):
+            for x, f_vec, has_field in zip(block, fields, ok):
                 # at the equilibrium the field vanishes: D+ undefined, point dropped
-                yield x, [f_vec] if np.any(f_vec) else []
+                yield x, ([f_vec] if np.any(f_vec) else []) if has_field else None
 
     return _dplus_sup("thm21", m, k, along_field(), seed or 0, seed)
 
@@ -500,28 +498,27 @@ def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
     pts = sampler.points(m.dim)
     seed = _seed_of(sampler, seed)
 
-    worst = -math.inf
-    witness = None
-    skipped = 0
-    used = 0
-    violations = 0
-    for x, f_vec in newton_fields(m, pts, f0):
-        if f_vec is None:
-            skipped += 1
+    worst, witness = -math.inf, None
+    skipped = used = violations = 0
+    for block, fields, ok in newton_fields(m, pts, f0):
+        x = block[ok]
+        skipped += len(block) - len(x)
+        if not len(x):
             continue
+        used += len(x)
         d = x - x1
-        lhs = float(d @ f_vec)
-        rhs = a + b * float(d @ d)
-        if c != 0.0:
-            df = m.eval(x) - f0
-            rhs += c * float(df @ df)
-        margin = lhs - rhs
-        used += 1
-        if margin > POINT_SLACK * (1.0 + abs(rhs)):
-            violations += 1
-        if margin > worst:
-            worst = margin
-            witness = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            lhs = np.vecdot(d, fields[ok])
+            rhs = a + b * np.vecdot(d, d)
+            if c != 0.0:
+                df = m.eval_rows(x) - f0
+                rhs += c * np.vecdot(df, df)
+            margin = lhs - rhs
+            violations += int(np.count_nonzero(margin > POINT_SLACK * (1.0 + np.abs(rhs))))
+        # the first largest margin; a NaN margin is never the largest
+        i = int(np.argmax(np.where(np.isnan(margin), -math.inf, margin)))
+        if margin[i] > worst:
+            worst, witness = float(margin[i]), x[i]
 
     if used == 0:
         return _no_samples("cor22", POINT_SLACK, skipped, seed)
@@ -696,21 +693,22 @@ def check_ball_criterion(m: C1Map, x0, r: float, sphere_samples: int = 1024,
     f0 = m.eval(x0)
     pts = x0 + _sphere(np.random.default_rng(seed), m.dim, r, sphere_samples)
 
-    kept, vals = [], []
-    for x, f_vec in newton_fields(m, pts, f0):
-        if f_vec is not None:
-            kept.append(x)
-            vals.append(float((x - x0) @ f_vec))
+    has_field, vals = [], []
+    for block, fields, ok in newton_fields(m, pts, f0):
+        has_field.append(ok)
+        with np.errstate(all="ignore"):
+            vals.append(np.vecdot(block[ok] - x0, fields[ok]))
+    kept, vals = pts[np.concatenate(has_field)], np.concatenate(vals)
     skipped = len(pts) - len(vals)
-    if not vals:
+    if not len(vals):
         return _no_samples("ball", POINT_SLACK, skipped, seed)
+    # argmax and argmin over all values: the first extreme, a NaN ahead of any number
     imax, imin = int(np.argmax(vals)), int(np.argmin(vals))
-    wmax = np.asarray(kept[imax], dtype=float)
-    stats = {"min": vals[imin], "max": vals[imax],
-             "min_witness": np.asarray(kept[imin], dtype=float), "max_witness": wmax,
-             "radius": r}
-    verdict = Verdict.SATISFIED if vals[imax] <= POINT_SLACK else Verdict.VIOLATED
-    return Certificate("ball", verdict, vals[imax], wmax, POINT_SLACK, len(vals), skipped,
+    vmax, wmax = float(vals[imax]), kept[imax]
+    stats = {"min": float(vals[imin]), "max": vmax, "min_witness": kept[imin],
+             "max_witness": wmax, "radius": r}
+    verdict = Verdict.SATISFIED if vmax <= POINT_SLACK else Verdict.VIOLATED
+    return Certificate("ball", verdict, vmax, wmax, POINT_SLACK, len(vals), skipped,
                        seed, stats)
 
 

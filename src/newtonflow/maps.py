@@ -227,11 +227,13 @@ def zampieri_field(x):
 
 
 def zampieri_radial(x):
-    """The radial product x . zampieri_field(x)."""
-    xi, eta = x
-    t = 1.0 + eta * eta
-    e = math.exp(-xi)
-    return xi * (e / math.sqrt(t) - 1.0) - eta * eta * e * math.sqrt(t)
+    """The radial product x . zampieri_field(x) of each row of an (N, 2) block,
+    bit-equal to the closed form in Python floats (np.sqrt rounds like math.sqrt)."""
+    xi, eta = x[:, 0], x[:, 1]
+    with np.errstate(all="ignore"):
+        t = 1.0 + eta * eta
+        e = _exp_rows(-xi)
+        return xi * (e / np.sqrt(t) - 1.0) - eta * eta * e * np.sqrt(t)
 
 
 def _arctan_fn(x):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from test_flow import _planar_points, _scalar_fields
 
 from newtonflow.certify import (
+    POINT_SLACK,
     AuxFunction,
     BallSampler,
     Certificate,
@@ -11,6 +13,7 @@ from newtonflow.certify import (
     OmegaPoly,
     SphereSampler,
     Verdict,
+    _sphere,
     aux_hadamard,
     aux_log_coercive,
     aux_log_h,
@@ -24,7 +27,8 @@ from newtonflow.certify import (
     coercivity_evidence,
     dplus,
 )
-from newtonflow.flow import newton_field
+from newtonflow.cli import _pipeline_deviation
+from newtonflow.flow import FIELD_BLOCK, newton_field
 from newtonflow.maps import C1Map, builtin, zampieri_inv_jac, zampieri_radial
 
 ZAMP = builtin("zampieri-ex5")
@@ -221,8 +225,184 @@ def test_radial_product_pipeline_matches_closed_form():
         x = rng.standard_normal(2)
         x *= rng.uniform(0, 5) / max(np.linalg.norm(x), 1e-12)
         lhs = float(x @ newton_field(ZAMP, x, f0))
-        ref = zampieri_radial(x)
+        ref = float(zampieri_radial(x[None])[0])
         assert abs(lhs - ref) <= 1e-9 * (1.0 + max(abs(lhs), abs(ref)))
+
+
+# --- block reductions against per-point loops ---------------------------------
+#
+# cor22, ball and verify-ex5's pipeline check reduce whole blocks of
+# newton_fields with np.vecdot.  The loops below are the per-point forms they
+# replaced, kept as the reference: every value, witness and count must match
+# bit for bit.
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_vecdot_rows_equal_the_per_row_product(dim):
+    # the block reductions rest on np.vecdot rounding like a row's x @ f;
+    # a numpy or BLAS change that breaks this fails here first
+    rng = np.random.default_rng(60 + dim)
+    grid = GridSampler(((-800.0, 800.0),) * dim, 41).points(dim)
+    x = np.concatenate([grid, rng.uniform(-800.0, 800.0, (10_000, dim))])
+    f = rng.standard_normal(x.shape) * 10.0 ** rng.uniform(-100.0, 100.0, x.shape)
+    ref = np.array([float(x[i] @ f[i]) for i in range(len(x))])
+    assert np.vecdot(x, f).tobytes() == ref.tobytes()
+    assert np.vecdot(x, x).tobytes() == np.array([float(v @ v) for v in x]).tobytes()
+
+
+class _Given:
+    """A sampler that hands out fixed points."""
+
+    seed = None
+
+    def __init__(self, pts):
+        self.pts = pts
+
+    def points(self, dim):
+        return self.pts
+
+
+def _bits(v):
+    return None if v is None else np.asarray(v, dtype=float).tobytes()
+
+
+def _cor22_loop(m, x0, x1, a, b, c, pts):
+    f0 = m.eval(x0)
+    x1 = np.asarray(x1, dtype=float)
+    worst, witness = -math.inf, None
+    skipped = used = violations = 0
+    for x, f_vec in _scalar_fields(m, pts, f0):
+        if f_vec is None:
+            skipped += 1
+            continue
+        d = x - x1
+        lhs = float(d @ f_vec)
+        rhs = a + b * float(d @ d)
+        if c != 0.0:
+            df = m.eval(x) - f0
+            rhs += c * float(df @ df)
+        margin = lhs - rhs
+        used += 1
+        if margin > POINT_SLACK * (1.0 + abs(rhs)):
+            violations += 1
+        if margin > worst:
+            worst, witness = margin, x
+    return _bits(worst), _bits(witness), used, skipped, violations
+
+
+def _cor22_blocks(m, x0, x1, a, b, c, pts):
+    cert = check_cor22(m, x0, x1, a, b, c, _Given(pts))
+    return (_bits(cert.extremal_value), _bits(cert.witness), cert.samples_used,
+            cert.samples_skipped_singular, cert.stats.get("violations", 0))
+
+
+@pytest.mark.parametrize("m", [
+    ZAMP,
+    ZAMP.with_perturbed_jacobian(1e-3),
+    builtin("rot-poly2d", eps=0.3),
+], ids=["zampieri-ex5", "perturbed-1e-3", "rot-poly2d"])
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_cor22_blocks_equal_the_point_loop(m, c):
+    pts = _planar_points(2 * FIELD_BLOCK + 452, seed=61)
+    x0, x1 = np.array([0.2, -0.1]), np.array([0.5, 0.25])
+    with np.errstate(all="ignore"):
+        ref = _cor22_loop(m, x0, x1, 0.0, 0.0, c, pts)
+    got = _cor22_blocks(m, x0, x1, 0.0, 0.0, c, pts)
+    assert got == ref
+    assert 0 < got[3] < len(pts) and got[2] + got[3] == len(pts)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_cor22_blocks_equal_the_point_loop_in_1d(c):
+    # exp1d has no row forms: every row takes newton_field, and on the golden
+    # -800..800 range the left side over- and underflows
+    m = builtin("exp1d")
+    pts = np.concatenate([np.linspace(-800.0, 800.0, 41)[:, None],
+                          np.random.default_rng(62).uniform(-800.0, 800.0, (2100, 1))])
+    with np.errstate(all="ignore"):
+        ref = _cor22_loop(m, np.zeros(1), np.ones(1), 1.0, 1.0, c, pts)
+    assert _cor22_blocks(m, np.zeros(1), np.ones(1), 1.0, 1.0, c, pts) == ref
+
+
+def test_cor22_largest_margin_tied_across_blocks_keeps_the_first():
+    # for the identity map toward f(0) = 0 the margin is -3||x||^2 - 1: the
+    # two rows nearest the origin tie, one in each block
+    pts = np.random.default_rng(63).uniform(1.0, 2.0, (FIELD_BLOCK + 100, 2))
+    pts[5] = (0.1, 0.0)
+    pts[FIELD_BLOCK + 5] = (0.0, 0.1)
+    assert float(pts[5] @ pts[5]) == float(pts[FIELD_BLOCK + 5] @ pts[FIELD_BLOCK + 5])
+    args = (EYE2, np.zeros(2), np.zeros(2), 1.0, 2.0, 0.0, pts)
+    got = _cor22_blocks(*args)
+    assert got == _cor22_loop(*args)
+    assert np.frombuffer(got[1]).tolist() == [0.1, 0.0]
+
+
+def _ball_loop(m, x0, r, count, seed):
+    f0 = m.eval(x0)
+    pts = x0 + _sphere(np.random.default_rng(seed), m.dim, r, count)
+    kept, vals = [], []
+    for x, f_vec in _scalar_fields(m, pts, f0):
+        if f_vec is not None:
+            kept.append(x)
+            vals.append(float((x - x0) @ f_vec))
+    imax, imin = int(np.argmax(vals)), int(np.argmin(vals))
+    return (_bits(vals[imin]), _bits(vals[imax]), _bits(kept[imin]), _bits(kept[imax]),
+            len(vals), len(pts) - len(vals))
+
+
+@pytest.mark.parametrize("m, x0, r", [
+    (ZAMP, (0.0, 0.0), 2.0),
+    (ZAMP, (0.0, 0.0), 800.0),     # exp over- and underflows: skipped rows
+    (ZAMP.with_perturbed_jacobian(1e-3), (0.3, -0.2), 5.0),
+    (builtin("exp1d"), (0.0,), 700.0),
+], ids=["zampieri-ex5", "zampieri-ex5-r800", "perturbed-1e-3", "exp1d"])
+def test_ball_blocks_equal_the_point_loop(m, x0, r):
+    x0 = np.asarray(x0, dtype=float)
+    with np.errstate(all="ignore"):
+        ref = _ball_loop(m, x0, r, 2 * FIELD_BLOCK + 452, seed=64)
+    c = check_ball_criterion(m, x0, r, 2 * FIELD_BLOCK + 452, seed=64)
+    got = (_bits(c.stats["min"]), _bits(c.stats["max"]), _bits(c.stats["min_witness"]),
+           _bits(c.stats["max_witness"]), c.samples_used, c.samples_skipped_singular)
+    assert got == ref
+    assert c.extremal_value == c.stats["max"] and c.witness is c.stats["max_witness"]
+
+
+def test_all_skipped_samples_give_no_samples():
+    singular = ZAMP.with_perturbed_jacobian(-1.0)   # every Jacobian zero
+    pts = _planar_points(2 * FIELD_BLOCK + 452, seed=65)
+    certs = [check_cor22(singular, (0, 0), (0, 0), 1.0, 1.0, c, _Given(pts)) for c in (0.0, 1.0)]
+    certs.append(check_ball_criterion(singular, (0.0, 0.0), 1.0, len(pts), seed=65))
+    for cert in certs:
+        assert cert.verdict is Verdict.INCONCLUSIVE and cert.stats == {"reason": "no valid samples"}
+        assert (cert.extremal_value, cert.witness, cert.samples_used) == (None, None, 0)
+        assert cert.samples_skipped_singular == len(pts)
+
+
+def _pipeline_loop(m, pts, f0):
+    worst = 0.0
+    for x, f_vec in _scalar_fields(m, pts, f0):
+        if f_vec is None:
+            worst = math.inf
+            continue
+        lhs = float(x @ f_vec)
+        ref = float(zampieri_radial(x[None])[0])
+        worst = max(worst, abs(lhs - ref) / (1.0 + max(abs(lhs), abs(ref))))
+    return worst
+
+
+@pytest.mark.parametrize("m", [
+    ZAMP,
+    ZAMP.with_perturbed_jacobian(1e-3),
+    ZAMP.with_perturbed_jacobian(-1.0),
+], ids=["zampieri-ex5", "perturbed-1e-3", "perturbed-minus-1"])
+@pytest.mark.parametrize("radius", [5.0, 800.0])
+def test_pipeline_check_blocks_equal_the_point_loop(m, radius):
+    # radius 800 puts rows past math.exp's range: skipped rows, NaN deviations
+    pts = BallSampler(radius, 2 * FIELD_BLOCK + 452, seed=66).points(2)
+    f0 = ZAMP.eval((0.0, 0.0))
+    with np.errstate(all="ignore"):
+        ref = _pipeline_loop(m, pts, f0)
+    assert _bits(_pipeline_deviation(m, pts, f0)) == _bits(ref)
 
 
 # --- criterion checks ---------------------------------------------------------
@@ -433,7 +613,7 @@ def test_ball_criterion_planar_oracle_sign_profile():
     # reported extremes must match the closed-form radial product at the witnesses
     for key, val in (("min_witness", cert.stats["min"]), ("max_witness", cert.stats["max"])):
         w = np.asarray(cert.stats[key])
-        assert zampieri_radial(w) == pytest.approx(val, rel=1e-9, abs=1e-12)
+        assert zampieri_radial(w[None])[0] == pytest.approx(val, rel=1e-9, abs=1e-12)
     # measured profile on the unit circle is entirely nonpositive
     assert cert.stats["max"] <= 1e-9
     assert cert.stats["min"] < -0.5

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import inspect
 import json
 import math
@@ -11,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newtonflow import basin, certify
+from newtonflow import basin, certify, cli, maps
 from newtonflow.cli import _FIELDS, RunConfig, UsageError, main
 from newtonflow.flow import FlowOptions
+from newtonflow.maps import C1Map
 
 
 def _run(capsys, argv):
@@ -436,3 +438,25 @@ def test_cor22_skips_samples_where_the_residual_overflows(capsys):
     assert (doc["samples_used"], doc["samples_skipped_singular"]) == (6, 3)
     # F(x) = (1, 0) - x, so x . F(x) <= 0 on the kept points, with 0 at the origin
     assert doc["verdict"] == "satisfied" and doc["extremal_value"] == 0.0
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # perfbench/tracing.py swaps program functions by module and name; a
+    # refactor that drops one of those names must fail here, not in a traced
+    # benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    swapped = [(maps, "builtin"), (cli, "builtin"), (C1Map, "eval")] + tracing.SPANNED
+    before = [getattr(owner, name) for owner, name in swapped]
+    with tracing.Tracer("t").installed() as tracer:
+        assert all(getattr(owner, name) is not fn
+                   for (owner, name), fn in zip(swapped, before))
+        m = maps.builtin("zampieri-ex5")
+        certify.check_cor22(m, (0, 0), (0, 0), 1.0, 1.0, 0.0,
+                            certify.GridSampler(((-1, 1), (-1, 1)), 3))
+    assert [getattr(owner, name) for owner, name in swapped] == before
+    [span] = tracer.named("check_cor22")
+    assert span.attrs["samples_used"] == 9 and tracer.eval_calls == 1

@@ -373,6 +373,14 @@ def _outcomes(pairs):
     return out
 
 
+def _rows(blocks):
+    """The (block, F, ok) triples of newton_fields as per-row (x, F or None)."""
+    for block, fields, ok in blocks:
+        assert len(block) <= FIELD_BLOCK and fields.shape == block.shape
+        for x, f_vec, has_field in zip(block, fields, ok):
+            yield x, f_vec if has_field else None
+
+
 def _scalar_fields(m, pts, target):
     for x in pts:
         try:
@@ -399,7 +407,7 @@ def _planar_points(n, seed):
 def test_newton_fields_match_newton_field_planar(m):
     pts = _planar_points(2 * FIELD_BLOCK + 452, seed=31)
     target = m.eval((0.2, -0.1))
-    got = _outcomes(newton_fields(m, pts, target))
+    got = _outcomes(_rows(newton_fields(m, pts, target)))
     assert got == _outcomes(_scalar_fields(m, pts, target))
     assert len(got) == len(pts)
     assert any(f is None for _, f in got)
@@ -413,7 +421,7 @@ def test_newton_fields_take_the_block_path(monkeypatch):
                         lambda *args: calls.append(args) or newton_field(*args))
     pts = np.random.default_rng(34).uniform(-6.0, 6.0, (FIELD_BLOCK + 10, 2))
     pts[5] = (800.0, 0.0)   # math.exp overflows: this row alone leaves the block
-    got = list(newton_fields(ZAMP, pts, F_ORIGIN))
+    got = list(_rows(newton_fields(ZAMP, pts, F_ORIGIN)))
     assert len(got) == len(pts) and got[5][1] is None
     assert [args[1].tolist() for args in calls] == [[800.0, 0.0]]
 
@@ -426,7 +434,8 @@ def test_newton_fields_take_the_block_path(monkeypatch):
 def test_newton_fields_fall_back_to_newton_field(m, dim):
     pts = np.random.default_rng(32).uniform(-800.0, 800.0, (1500, dim))
     target = np.full(dim, 2.0)
-    assert _outcomes(newton_fields(m, pts, target)) == _outcomes(_scalar_fields(m, pts, target))
+    assert (_outcomes(_rows(newton_fields(m, pts, target)))
+            == _outcomes(_scalar_fields(m, pts, target)))
 
 
 def _reciprocal_fn(x):
@@ -474,12 +483,13 @@ def test_a_raising_row_form_propagates():
 
 def test_newton_fields_raise_where_the_point_loop_raises():
     # the evaluator raises ZeroDivisionError in the second block: the
-    # iteration ends there, after the rows before it were yielded
+    # iteration ends there, after the first block was yielded whole
     pts = np.random.default_rng(33).uniform(1.0, 6.0, (1600, 2))
     pts[1500] = (0.0, 1.0)
     target = (0.5, 0.0)
     with np.errstate(divide="ignore"):
-        got = _outcomes(newton_fields(RECIPROCAL, pts, target))
-    assert got == _outcomes(_scalar_fields(RECIPROCAL, pts, target))
-    assert got[-1] is ZeroDivisionError and len(got) == 1501
+        got = _outcomes(_rows(newton_fields(RECIPROCAL, pts, target)))
+    ref = _outcomes(_scalar_fields(RECIPROCAL, pts, target))
+    assert ref[-1] is ZeroDivisionError and len(ref) == 1501
+    assert got == ref[:FIELD_BLOCK] + ref[-1:]
     assert all(f is not None for _, f in got[:-1])

@@ -13,6 +13,7 @@ from newtonflow.maps import (
     list_maps,
     registry_entries,
     zampieri_inv_jac,
+    zampieri_radial,
 )
 
 
@@ -231,6 +232,31 @@ def test_row_forms_equal_scalar_bytes(m):
             assert rows[i].tobytes() == np.asarray(ref, dtype=float).tobytes(), x
             finite += 1
     assert finite > len(pts)
+
+
+def _radial_point(x):
+    # zampieri_radial of one point in Python floats: the reference for its rows
+    xi, eta = x.tolist()
+    t = 1.0 + eta * eta
+    e = math.exp(-xi)
+    return xi * (e / math.sqrt(t) - 1.0) - eta * eta * e * math.sqrt(t)
+
+
+def test_radial_rows_equal_the_point_formula():
+    pts = _row_points(4000, seed=42)
+    pts[::9, 0] = -pts[::9, 0]   # e^{-xi} up to e^{800}, past math.exp's range
+    got = zampieri_radial(pts)
+    assert got.shape == (len(pts),)
+    finite = 0
+    for x, v in zip(pts, got):
+        try:
+            ref = _radial_point(x)
+        except OverflowError:
+            assert not math.isfinite(v)
+            continue
+        assert np.float64(v).tobytes() == np.float64(ref).tobytes(), x
+        finite += 1
+    assert finite > len(pts) // 2
 
 
 def _row_loop(m, block):
