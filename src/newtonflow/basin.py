@@ -22,12 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import Direction, FlowOptions, FlowStatus, integrate
+from .flow import SCAN_OPTIONS, Direction, FlowOptions, FlowStatus, integrate
 from .maps import C1Map
-
-# scans are qualitative maps of the basin, not precision runs: the default
-# tolerances trade digits nobody reads for a ~4x faster sweep
-SCAN_OPTIONS = FlowOptions(abs_tol=1e-6, rel_tol=1e-6)
 
 # ||f(x) - f(x')|| <= SEP_TOL ||x - x'|| flags a pair as an injectivity collision
 SEP_TOL = 1e-9

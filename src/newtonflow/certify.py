@@ -475,7 +475,7 @@ def check_theorem21(m: C1Map, x0, k: AuxFunction, sampler, seed: int | None = No
     seed = _seed_of(sampler, seed)
 
     def along_field():
-        for block, fields, ok in newton_fields(m, pts, f0):
+        for block, fields, ok, _ in newton_fields(m, pts, f0):
             for x, f_vec, has_field in zip(block, fields, ok):
                 # at the equilibrium the field vanishes: D+ undefined, point dropped
                 yield x, ([f_vec] if np.any(f_vec) else []) if has_field else None
@@ -500,7 +500,7 @@ def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
 
     worst, witness = -math.inf, None
     skipped = used = violations = 0
-    for block, fields, ok in newton_fields(m, pts, f0):
+    for block, fields, ok, fx in newton_fields(m, pts, f0):
         x = block[ok]
         skipped += len(block) - len(x)
         if not len(x):
@@ -511,7 +511,7 @@ def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
             lhs = np.vecdot(d, fields[ok])
             rhs = a + b * np.vecdot(d, d)
             if c != 0.0:
-                df = m.eval_rows(x) - f0
+                df = fx[ok] - f0
                 rhs += c * np.vecdot(df, df)
             margin = lhs - rhs
             violations += int(np.count_nonzero(margin > POINT_SLACK * (1.0 + np.abs(rhs))))
@@ -694,7 +694,7 @@ def check_ball_criterion(m: C1Map, x0, r: float, sphere_samples: int = 1024,
     pts = x0 + _sphere(np.random.default_rng(seed), m.dim, r, sphere_samples)
 
     has_field, vals = [], []
-    for block, fields, ok in newton_fields(m, pts, f0):
+    for block, fields, ok, _ in newton_fields(m, pts, f0):
         has_field.append(ok)
         with np.errstate(all="ignore"):
             vals.append(np.vecdot(block[ok] - x0, fields[ok]))

@@ -449,7 +449,7 @@ def _pipeline_deviation(m, pts, f0) -> float:
     zampieri_radial(x) over the rows of ``pts``; NaN deviations are left out, and
     a point without a field (a degenerate perturbation) deviates without bound."""
     worst = 0.0
-    for block, fields, ok in newton_fields(m, pts, f0):
+    for block, fields, ok, _ in newton_fields(m, pts, f0):
         if not ok.all():
             worst = math.inf
         x = block[ok]

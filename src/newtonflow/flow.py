@@ -68,6 +68,13 @@ class FlowOptions:
             raise ValueError("max_steps must be positive")
 
 
+# The one "path only" tolerance: runs that decide where the flow goes, not
+# the digits of where it ends (basin membership in every basin scan, the
+# approach leg of solve_inverse).  It trades digits nobody reads for a ~4x
+# faster run.
+SCAN_OPTIONS = FlowOptions(abs_tol=1e-6, rel_tol=1e-6)
+
+
 class FlowFailure(Exception):
     """solve_inverse could not reach the target; wraps the trajectory."""
 
@@ -139,6 +146,12 @@ def newton_field(m: C1Map, x, target) -> np.ndarray:
 
     Raises NonFiniteError where y* - f(x) overflows.
     """
+    return _value_and_field(m, x, target)[1]
+
+
+def _value_and_field(m: C1Map, x, target) -> tuple[np.ndarray, np.ndarray]:
+    """(f(x), F(x)) from one evaluation of f: ``newton_field`` with the value
+    it is built on."""
     x = as_vector(x, m.dim)
     target = as_vector(target, m.dim)
     fx = m.eval(x)
@@ -146,17 +159,17 @@ def newton_field(m: C1Map, x, target) -> np.ndarray:
     rhs = target - fx
     if not np.isfinite(rhs).all():
         raise NonFiniteError(m.name, x)
-    return linalg.solve_dense(jac, rhs)
+    return fx, linalg.solve_dense(jac, rhs)
 
 
 def newton_fields(m: C1Map, pts, target):
-    """Yield (block, F, ok) per FIELD_BLOCK rows of ``pts``: F[i] is
-    ``newton_field(m, block[i], target)`` where ok[i] holds; ok[i] is False
-    where that raises one of SAMPLE_ERRORS.
+    """Yield (block, F, ok, fx) per FIELD_BLOCK rows of ``pts``: F[i] is
+    ``newton_field(m, block[i], target)`` and fx[i] is f(block[i]) where ok[i]
+    holds; ok[i] is False where the field raises one of SAMPLE_ERRORS.
 
     Planar maps with both row forms compute a block with linalg._solve_rows,
     whose rows equal the scalar path bit for bit.  Every other row runs
-    ``newton_field`` in row order before its block is yielded, so values,
+    the scalar path in row order before its block is yielded, so values,
     skips and the first exception are those of a per-point loop.  An
     exception raised by a row form propagates when its block is reached.
     """
@@ -166,28 +179,29 @@ def newton_fields(m: C1Map, pts, target):
     for lo in range(0, len(pts), FIELD_BLOCK):
         block = pts[lo:lo + FIELD_BLOCK]
         if batched:
-            fields, ok = _field_rows(m, block, target)
+            fx, fields, ok = _field_rows(m, block, target)
         else:
-            fields, ok = np.empty((len(block), m.dim)), np.zeros(len(block), dtype=bool)
+            fx, fields = np.empty((2, len(block), m.dim))
+            ok = np.zeros(len(block), dtype=bool)
         for i in np.flatnonzero(~ok):
             try:
-                fields[i] = newton_field(m, block[i], target)
+                fx[i], fields[i] = _value_and_field(m, block[i], target)
             except SAMPLE_ERRORS:
                 continue
             ok[i] = True
-        yield block, fields, ok
+        yield block, fields, ok, fx
 
 
 def _field_rows(m: C1Map, block: np.ndarray, target: np.ndarray):
-    """(F, ok) for a block of a planar map with row forms: ok marks the rows
-    whose field F the block computed."""
+    """(f, F, ok) for a block of a planar map with row forms: ok marks the
+    rows whose value f and field F the block computed."""
     block = np.asarray(block, dtype=float)
     with np.errstate(all="ignore"):
         fx = np.asarray(m.fn_rows(block), dtype=float)
         jac = np.asarray(m.jac_rows(block), dtype=float)
         fields, ok = linalg._solve_rows(jac, target - fx)
     ok &= np.isfinite(block).all(axis=1)
-    return fields, ok
+    return fx, fields, ok
 
 
 def decay_drift(traj: Trajectory) -> float:
@@ -247,7 +261,9 @@ _EPS = float(np.finfo(float).eps)
 # solve_inverse hands off to Newton once the residual is this share of its
 # initial norm.  On non-injective maps the flow picks the preimage; Newton
 # started too far out can land on another one (seen on complex exp at 0.5).
-# 1e-2 keeps a wide margin and still skips about half of the flow's steps.
+# 1e-2 keeps a wide margin.  Run at SCAN_OPTIONS, the flow to it takes a
+# quarter of the accepted steps it takes at the default 1e-10 (6042 against
+# 23920 over perfbench's solve-batch, seed 5).
 _HANDOFF = 1e-2
 
 
@@ -405,12 +421,18 @@ def integrate(
         last_exc = None
 
 
-def _newton_polish(m: C1Map, x, target, steps: int = 3) -> np.ndarray:
-    """Guarded plain-Newton refinement: keep iterating while the residual drops."""
+def _newton_polish(m: C1Map, x, target, steps: int = 3, theta: float = 1.0) -> np.ndarray:
+    """Guarded plain-Newton refinement: keep iterating while each step lowers
+    the residual norm, to at most ``theta`` times its value before the step.
+
+    theta = 1/2 is Deuflhard's monotonicity test Theta <= 1/2: a step that
+    contracts less was taken outside the region where Newton converges fast
+    and may head for another preimage.  An overflowed norm (inf) is no decrease.
+    """
     target = as_vector(target, m.dim)
     x = as_vector(x, m.dim).copy()
     r = m.eval(x) - target
-    best = float(np.linalg.norm(r))
+    best = _norm(r)
     for _ in range(steps):
         if best == 0.0:
             break
@@ -420,21 +442,34 @@ def _newton_polish(m: C1Map, x, target, steps: int = 3) -> np.ndarray:
             r_try = m.eval(x_try) - target
         except SAMPLE_ERRORS:
             break
-        n_try = float(np.linalg.norm(r_try))
-        if n_try >= best:
+        n_try = _norm(r_try)
+        if n_try >= best or n_try > theta * best:
             break
         x, r, best = x_try, r_try, n_try
     return x
 
 
+def _norm(r: np.ndarray) -> float:
+    """||r||, inf where its square overflows, without a RuntimeWarning."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(r))
+
+
 def _flow_then_polish(m: C1Map, start, target, opts: FlowOptions,
                       steps: int = 3) -> tuple[Trajectory, np.ndarray | None]:
     """The forward flow at ``opts``, then ``steps`` of guarded Newton from its
-    end point: (trajectory, x), with x None when the flow did not converge."""
+    end point: (trajectory, x), with x None when the flow did not converge.
+
+    Three steps polish a flow run to residual_tol and need only lower the
+    residual.  A longer polish finishes a flow stopped at the handoff point,
+    where a long Newton step can leave the flow's basin: each step must at
+    least halve the residual.
+    """
     traj = integrate(m, start, target, opts, Direction.FORWARD)
     if traj.status is not FlowStatus.CONVERGED:
         return traj, None
-    return traj, _newton_polish(m, traj.final_state, target, steps)
+    theta = 1.0 if steps <= 3 else 0.5
+    return traj, _newton_polish(m, traj.final_state, target, steps, theta)
 
 
 def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> np.ndarray:
@@ -443,25 +478,28 @@ def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> n
 
     Returns x with ||f(x) - y*|| <= residual_tol.  Raises FlowFailure
     (carrying the trajectory) if the flow ends in any non-converged status.
-    The flow runs only until the residual is _HANDOFF times its initial norm
-    (or residual_tol, if that is larger); guarded Newton then squeezes the
-    last digits quadratically.  If Newton misses residual_tol, the full flow
-    runs from ``start`` at ``opts``, followed by the 3-step polish, so the
-    answer and any FlowFailure are those of the full flow.  residual_tol enters
-    ``integrate`` only in its stop test, so a handoff run that ends
-    non-converged is the full run, step for step.  CLI ``solve`` still
+    The flow only has to carry x into the basin of the preimage it leads
+    to, so it runs at SCAN_OPTIONS' tolerances (or the caller's, if looser)
+    and only until the residual is _HANDOFF times its initial norm (or
+    residual_tol, if that is larger).  Up to 8 guarded Newton steps then
+    squeeze the last digits quadratically, each one required to at least
+    halve the residual.  On any miss (that run ending non-converged, a step
+    that does not contract, residual_tol not reached) the full flow runs
+    from ``start`` at ``opts``, followed by the 3-step polish, so the answer
+    and any FlowFailure are those of the full flow.  CLI ``solve`` still
     reports the full-tolerance trajectory.
     """
     opts = opts or FlowOptions()
     x0 = as_vector(start, m.dim)
     target = as_vector(target, m.dim)
-    handoff = _HANDOFF * float(np.linalg.norm(m.eval(x0) - target))
+    near = replace(opts, abs_tol=max(opts.abs_tol, SCAN_OPTIONS.abs_tol),
+                   rel_tol=max(opts.rel_tol, SCAN_OPTIONS.rel_tol))
+    handoff = _HANDOFF * _norm(m.eval(x0) - target)
     # an overflowed initial residual (inf) leaves the stop test as it is
-    near = opts
     if opts.residual_tol < handoff < math.inf:
-        near = replace(opts, residual_tol=handoff)
+        near = replace(near, residual_tol=handoff)
     traj, x = _flow_then_polish(m, x0, target, near, steps=8)
-    if x is not None and not float(np.linalg.norm(m.eval(x) - target)) <= opts.residual_tol:
+    if x is None or not _norm(m.eval(x) - target) <= opts.residual_tol:
         traj, x = _flow_then_polish(m, x0, target, opts)
     if x is None:
         raise FlowFailure(traj)

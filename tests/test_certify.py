@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -322,6 +323,15 @@ def test_cor22_blocks_equal_the_point_loop_in_1d(c):
     with np.errstate(all="ignore"):
         ref = _cor22_loop(m, np.zeros(1), np.ones(1), 1.0, 1.0, c, pts)
     assert _cor22_blocks(m, np.zeros(1), np.ones(1), 1.0, 1.0, c, pts) == ref
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_cor22_evaluates_f_once_per_sample(c):
+    # the c-term reads f(x) from the field blocks, which compute it anyway
+    rows = []
+    m = dataclasses.replace(ZAMP, fn_rows=lambda x: rows.append(len(x)) or ZAMP.fn_rows(x))
+    check_cor22(m, (0, 0), (0, 0), 1.0, 1.0, c, GridSampler(((-5, 5), (-5, 5)), 41))
+    assert sum(rows) == 41 * 41
 
 
 def test_cor22_largest_margin_tied_across_blocks_keeps_the_first():

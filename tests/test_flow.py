@@ -292,6 +292,87 @@ def test_solve_inverse_falls_back_to_the_full_flow(monkeypatch):
     assert abs(x[0] ** 3) <= FlowOptions().residual_tol
 
 
+def _jacobian_calls(solve, targets):
+    calls = []
+    m = dataclasses.replace(ZAMP, jac=lambda x: calls.append(x) or ZAMP.jac(x))
+    for target in targets:
+        solve(m, target, (0.0, 0.0))
+    return len(calls)
+
+
+def test_handoff_approach_at_scan_tolerance_does_a_fifth_of_the_work():
+    # the approach only has to reach the basin: at SCAN_OPTIONS it costs a
+    # fraction of the precise path (measured 0.11; 0.42 with it at 1e-10)
+    rng = np.random.default_rng(43)
+    targets = [ZAMP.eval(x) for x in rng.uniform(-3.0, 3.0, (20, 2))]
+    work = [_jacobian_calls(solve, targets) for solve in (solve_inverse, _full_flow_solve)]
+    assert work[0] <= 0.2 * work[1], work
+
+
+@pytest.mark.parametrize("tols, approach", [
+    ((1e-10, 1e-10), (1e-6, 1e-6)),
+    ((1e-3, 1e-3), (1e-3, 1e-3)),
+    ((1e-3, 1e-8), (1e-3, 1e-6)),
+])
+def test_handoff_approach_keeps_looser_caller_tolerances(monkeypatch, tols, approach):
+    import newtonflow.flow as flow_mod
+
+    seen = []
+
+    def spy(m, start, target, opts, direction):
+        seen.append(opts)
+        return integrate(m, start, target, opts, direction)
+
+    monkeypatch.setattr(flow_mod, "integrate", spy)
+    v = math.e / math.sqrt(2.0)
+    solve_inverse(ZAMP, (v, v), (0.0, 0.0), FlowOptions(abs_tol=tols[0], rel_tol=tols[1]))
+    assert (seen[0].abs_tol, seen[0].rel_tol) == approach
+
+
+def test_a_failed_handoff_run_is_followed_by_the_full_path(monkeypatch):
+    # at scan tolerance the handoff run is no longer the full run step for
+    # step, so its failure is not the answer: the full path runs and raises
+    import newtonflow.flow as flow_mod
+
+    polish_steps = []
+
+    def spy(m, start, target, opts, steps=3):
+        polish_steps.append(steps)
+        return _flow_then_polish(m, start, target, opts, steps)
+
+    monkeypatch.setattr(flow_mod, "_flow_then_polish", spy)
+    with pytest.raises(FlowFailure) as ei:
+        solve_inverse(builtin("arctan1d"), (2.0,), (0.0,))
+    assert polish_steps == [8, 3]
+    assert ei.value.status is FlowStatus.BLOWUP
+
+
+def test_handoff_polish_must_contract():
+    # from this handoff point plain guarded Newton keeps lowering the
+    # residual but walks to the preimage 2*pi below the flow's; its first
+    # step contracts the residual only by 0.60, and Theta <= 1/2 refuses it
+    start = (3.4675738688458075, 3.9760180919550274)
+    target = (0.06475683033869777, 0.18410005225554468)
+    full = _full_flow_solve(COMPLEX_EXP, target, start)
+    np.testing.assert_allclose(full, (-1.6339506317086192, 1.232565093709944), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(solve_inverse(COMPLEX_EXP, target, start), full, rtol=0, atol=1e-12)
+
+
+def test_solve_inverse_residual_norm_overflow_is_quiet():
+    # a polish step lands where ||r||^2 overflows; tier-1 turns the
+    # RuntimeWarning np.linalg.norm would emit into an error
+    target = (0.021216980925771622, 0.021290889229831217)
+    x = solve_inverse(COMPLEX_EXP, target, (1.9139749922695364, -2.4347773604374323))
+    assert np.linalg.norm(COMPLEX_EXP.eval(x) - target) <= FlowOptions().residual_tol
+
+
+def test_newton_polish_refuses_a_step_whose_residual_norm_overflows():
+    # Newton for x^3 = 1 from 1e-30 jumps to x ~ 3.3e59, where f ~ 3.7e178
+    # is finite but its square is not: the norm is inf, never a decrease
+    for theta in (1.0, 0.5):
+        assert _newton_polish(CUBE_1D, (1e-30,), (1.0,), theta=theta).tolist() == [1e-30]
+
+
 def test_trajectory_csv_and_summary(tmp_path):
     traj = integrate(ZAMP, (1.0, 1.0), F_ORIGIN, FlowOptions())
     path = tmp_path / "traj.csv"
@@ -374,9 +455,9 @@ def _outcomes(pairs):
 
 
 def _rows(blocks):
-    """The (block, F, ok) triples of newton_fields as per-row (x, F or None)."""
-    for block, fields, ok in blocks:
-        assert len(block) <= FIELD_BLOCK and fields.shape == block.shape
+    """The (block, F, ok, f) quadruples of newton_fields as per-row (x, F or None)."""
+    for block, fields, ok, fx in blocks:
+        assert len(block) <= FIELD_BLOCK and fields.shape == fx.shape == block.shape
         for x, f_vec, has_field in zip(block, fields, ok):
             yield x, f_vec if has_field else None
 
@@ -417,8 +498,9 @@ def test_newton_fields_take_the_block_path(monkeypatch):
     import newtonflow.flow as flow_mod
 
     calls = []
-    monkeypatch.setattr(flow_mod, "newton_field",
-                        lambda *args: calls.append(args) or newton_field(*args))
+    scalar = flow_mod._value_and_field
+    monkeypatch.setattr(flow_mod, "_value_and_field",
+                        lambda *args: calls.append(args) or scalar(*args))
     pts = np.random.default_rng(34).uniform(-6.0, 6.0, (FIELD_BLOCK + 10, 2))
     pts[5] = (800.0, 0.0)   # math.exp overflows: this row alone leaves the block
     got = list(_rows(newton_fields(ZAMP, pts, F_ORIGIN)))
@@ -436,6 +518,20 @@ def test_newton_fields_fall_back_to_newton_field(m, dim):
     target = np.full(dim, 2.0)
     assert (_outcomes(_rows(newton_fields(m, pts, target)))
             == _outcomes(_scalar_fields(m, pts, target)))
+
+
+@pytest.mark.parametrize("m, pts", [
+    (ZAMP, _planar_points(FIELD_BLOCK + 300, seed=36)),
+    (builtin("exp1d"), np.random.default_rng(37).uniform(-800.0, 800.0, (300, 1))),
+], ids=["block path", "point path"])
+def test_newton_fields_yield_f_of_each_row(m, pts):
+    # check_cor22 reads f(x) from here rather than evaluating it a second time
+    kept = 0
+    for block, _, ok, fx in newton_fields(m, pts, m.eval(np.full(m.dim, 0.3))):
+        for x, y in zip(block[ok], fx[ok]):
+            assert y.tobytes() == m.eval(x).tobytes()
+        kept += int(ok.sum())
+    assert 0 < kept < len(pts)
 
 
 def _reciprocal_fn(x):
