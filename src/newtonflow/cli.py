@@ -101,19 +101,22 @@ def _box(text: str) -> list[float]:
 
 def _res(text: str) -> int | tuple:
     vals = [int(v) for v in text.split(",")]
-    return vals[0] if len(vals) == 1 else tuple(vals[:2])
+    if len(vals) > 2:
+        raise ValueError("needs nx or nx,ny")
+    return vals[0] if len(vals) == 1 else tuple(vals)
 
 
+# A count inside a vector is parsed with int(), as --count is: 3.9 is an error.
 def _grid(text: str) -> tuple[list[float], int]:
-    *bounds, res = _vec(text)
-    return bounds, int(res)
+    bounds, _, res = text.rpartition(",")
+    return _floats(bounds), int(res)
 
 
 def _radius_count(text: str) -> tuple[float, int]:
-    vals = _floats(text)
+    vals = text.split(",")
     if len(vals) != 2:
         raise ValueError("needs radius,count")
-    return vals[0], int(vals[1])
+    return float(vals[0]), int(vals[1])
 
 
 def _finite(text: str) -> float:

@@ -265,6 +265,7 @@ _EPS = float(np.finfo(float).eps)
 # quarter of the accepted steps it takes at the default 1e-10 (6042 against
 # 23920 over perfbench's solve-batch, seed 5).
 _HANDOFF = 1e-2
+_POLISH_STEPS = 8  # most Newton steps of one _newton_polish
 
 
 def integrate(
@@ -317,13 +318,14 @@ def integrate(
     # that fails the singularity rule (non-finite entries included) raises
     # SingularError.
     solve = linalg._solve_raw
+    k = np.empty((7, m.dim))
     try:
-        f_cur = solve(jacf(x), -r)
+        k[0] = solve(jacf(x), -r)  # FSAL: each accepted step hands k[6] on to k[0]
     except (SingularError, NonFiniteError, OverflowError):
         return finish(FlowStatus.SINGULAR_JACOBIAN, 0)
 
     # start small; the controller corrects within a few steps
-    fmag = float(np.linalg.norm(f_cur))
+    fmag = float(np.linalg.norm(k[0]))
     h = min(1e-2 * (1.0 + float(np.linalg.norm(x))) / (1.0 + fmag), opts.t_max, 1.0)
 
     tau = 0.0
@@ -335,9 +337,6 @@ def integrate(
     dim = m.dim
     abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
     blowup_sq = opts.blowup_radius * opts.blowup_radius
-    backward = sgn < 0.0
-    k = np.empty((7, dim))
-    k[0] = sgn * f_cur  # FSAL: each accepted step hands k[6] on to k[0]
 
     while True:
         if attempts >= opts.max_steps:
@@ -349,18 +348,17 @@ def integrate(
                 return finish(FlowStatus.SINGULAR_JACOBIAN, accepted)
             return finish(FlowStatus.STEP_FAILURE, accepted)
 
-        # Stage i is x + h * (A_i @ k[:i]) with k[i] = sgn * F, computed in
-        # place (products and sums commute exactly) to keep small-array
-        # overhead out of the hot loop; the last stage is x_new.
+        # Stage i is x + (sgn * h) * (A_i @ k[:i]) with k[i] = F, computed in
+        # place to keep small-array overhead out of the hot loop; the last
+        # stage is x_new.  The step carries the time sign.
+        sh = sgn * h
         try:
             for i in range(1, 7):
                 y = _A_ROWS[i].dot(k[:i])
-                y *= h
+                y *= sh
                 y += x
                 r_new = fn(y) - target
                 k[i] = solve(jacf(y), -r_new)
-                if backward:
-                    k[i] *= -1.0
             x_new = y
         except (*SAMPLE_ERRORS, FloatingPointError) as exc:
             last_exc = exc
@@ -370,7 +368,7 @@ def integrate(
 
         # embedded 4th/5th-order error estimate, RMS-scaled; comparisons are
         # negated so NaN falls into the reject branch
-        err_vec = (h * _E.dot(k)) / (
+        err_vec = (sh * _E.dot(k)) / (
             abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(x_new))
         )
         err = math.sqrt(float(err_vec.dot(err_vec)) / dim)
@@ -421,19 +419,19 @@ def integrate(
         last_exc = None
 
 
-def _newton_polish(m: C1Map, x, target, steps: int = 3, theta: float = 1.0) -> np.ndarray:
-    """Guarded plain-Newton refinement: keep iterating while each step lowers
-    the residual norm, to at most ``theta`` times its value before the step.
-
-    theta = 1/2 is Deuflhard's monotonicity test Theta <= 1/2: a step that
-    contracts less was taken outside the region where Newton converges fast
-    and may head for another preimage.  An overflowed norm (inf) is no decrease.
-    """
+def _newton_polish(m: C1Map, x, target, residual_tol: float) -> np.ndarray:
+    """Guarded plain Newton from x, at most _POLISH_STEPS steps.  A step is
+    kept if it lowers the residual norm and either at least halves it
+    (Deuflhard's monotonicity test Theta <= 1/2: a step that contracts less
+    left the region where Newton converges fast and may head for another
+    preimage) or lands within ``residual_tol``, where it only polishes
+    rounding.  The first step not kept ends the polish; an overflowed norm
+    (inf) is no decrease."""
     target = as_vector(target, m.dim)
     x = as_vector(x, m.dim).copy()
     r = m.eval(x) - target
     best = _norm(r)
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         if best == 0.0:
             break
         try:
@@ -443,7 +441,7 @@ def _newton_polish(m: C1Map, x, target, steps: int = 3, theta: float = 1.0) -> n
         except SAMPLE_ERRORS:
             break
         n_try = _norm(r_try)
-        if n_try >= best or n_try > theta * best:
+        if not (n_try < best and (n_try <= 0.5 * best or n_try <= residual_tol)):
             break
         x, r, best = x_try, r_try, n_try
     return x
@@ -455,21 +453,15 @@ def _norm(r: np.ndarray) -> float:
         return float(np.linalg.norm(r))
 
 
-def _flow_then_polish(m: C1Map, start, target, opts: FlowOptions,
-                      steps: int = 3) -> tuple[Trajectory, np.ndarray | None]:
-    """The forward flow at ``opts``, then ``steps`` of guarded Newton from its
-    end point: (trajectory, x), with x None when the flow did not converge.
-
-    Three steps polish a flow run to residual_tol and need only lower the
-    residual.  A longer polish finishes a flow stopped at the handoff point,
-    where a long Newton step can leave the flow's basin: each step must at
-    least halve the residual.
-    """
+def _flow_then_polish(m: C1Map, start, target,
+                      opts: FlowOptions) -> tuple[Trajectory, np.ndarray | None]:
+    """The forward flow at ``opts``, then the Newton polish from its end
+    point, which is within opts.residual_tol: (trajectory, x), with x None
+    when the flow did not converge."""
     traj = integrate(m, start, target, opts, Direction.FORWARD)
     if traj.status is not FlowStatus.CONVERGED:
         return traj, None
-    theta = 1.0 if steps <= 3 else 0.5
-    return traj, _newton_polish(m, traj.final_state, target, steps, theta)
+    return traj, _newton_polish(m, traj.final_state, target, opts.residual_tol)
 
 
 def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> np.ndarray:
@@ -481,13 +473,12 @@ def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> n
     The flow only has to carry x into the basin of the preimage it leads
     to, so it runs at SCAN_OPTIONS' tolerances (or the caller's, if looser)
     and only until the residual is _HANDOFF times its initial norm (or
-    residual_tol, if that is larger).  Up to 8 guarded Newton steps then
-    squeeze the last digits quadratically, each one required to at least
-    halve the residual.  On any miss (that run ending non-converged, a step
-    that does not contract, residual_tol not reached) the full flow runs
-    from ``start`` at ``opts``, followed by the 3-step polish, so the answer
-    and any FlowFailure are those of the full flow.  CLI ``solve`` still
-    reports the full-tolerance trajectory.
+    residual_tol, if that is larger).  The Newton polish to the caller's
+    residual_tol then squeezes the last digits quadratically.  On any miss
+    (that run ending non-converged, residual_tol not reached) the full flow
+    runs from ``start`` at ``opts``, followed by the same polish, so the
+    answer and any FlowFailure are those of the full flow.  CLI ``solve``
+    still reports the full-tolerance trajectory.
     """
     opts = opts or FlowOptions()
     x0 = as_vector(start, m.dim)
@@ -498,9 +489,12 @@ def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> n
     # an overflowed initial residual (inf) leaves the stop test as it is
     if opts.residual_tol < handoff < math.inf:
         near = replace(near, residual_tol=handoff)
-    traj, x = _flow_then_polish(m, x0, target, near, steps=8)
-    if x is None or not _norm(m.eval(x) - target) <= opts.residual_tol:
-        traj, x = _flow_then_polish(m, x0, target, opts)
+    traj = integrate(m, x0, target, near, Direction.FORWARD)
+    if traj.status is FlowStatus.CONVERGED:
+        x = _newton_polish(m, traj.final_state, target, opts.residual_tol)
+        if _norm(m.eval(x) - target) <= opts.residual_tol:
+            return x
+    traj, x = _flow_then_polish(m, x0, target, opts)
     if x is None:
         raise FlowFailure(traj)
     return x

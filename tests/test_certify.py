@@ -741,6 +741,30 @@ def test_theorem31_directions_are_not_the_evidence_sphere():
     assert _min_gap(dirs, first_sphere) > 1e-12
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "check_theorem21 seeds the coercivity evidence with the sampler's seed, so "
+    "the first evidence sphere (r = 1, 64 points) repeats the first 64 sample "
+    "directions of a ball or sphere sampler (largest gap 3.3e-16)"))
+def test_theorem21_evidence_is_not_the_sample_draw():
+    seen = []
+
+    def k(x):
+        seen.append(np.array(x))
+        return math.log1p(float(x @ x))
+
+    def dp(x, v):
+        return 2.0 * float(x @ v) / (1.0 + float(x @ x))
+
+    sampler = BallSampler(5.0, 300, seed=3)
+    check_theorem21(ZAMP, (0.0, 0.0), AuxFunction("recorded", k, dp), sampler)
+    # with a closed-form D+, k is evaluated only on the evidence spheres
+    pts = sampler.points(2)[:64]
+    dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    first_sphere = np.array(seen[:64])
+    np.testing.assert_allclose(np.linalg.norm(first_sphere, axis=1), 1.0, rtol=1e-12)
+    assert _min_gap(dirs, first_sphere) > 1e-12
+
+
 @pytest.mark.parametrize("key", ["cubic1d", "rot-poly2d"])
 def test_samples_used_counts_the_points_evaluated(key):
     m, seen = _recording(builtin(key))

@@ -148,7 +148,9 @@ def test_basin_command_with_probe(tmp_path, capsys):
     assert header == "i,j,cx,cy,status,t_conv,final_residual"
 
 
-def test_verify_ex5_passes_and_detects_faults(capsys):
+def test_verify_ex5_passes(capsys):
+    # fault detection (--perturb-jacobian 1e-3 ends in exit 5) is pinned byte
+    # for byte by its golden line in golden/certify.jsonl
     code, out = _run(capsys, ["verify-ex5", "--samples", "1500", "--grid-res", "41",
                               "--positive-samples", "3000"])
     assert code == 0
@@ -159,13 +161,6 @@ def test_verify_ex5_passes_and_detects_faults(capsys):
                      "positive-first-component", "flow-decay"]
     assert len(doc["sign_profile"]) == 4
     assert all(p["all_nonpositive"] for p in doc["sign_profile"])
-
-    code, out = _run(capsys, ["verify-ex5", "--samples", "500", "--grid-res", "21",
-                              "--positive-samples", "1000",
-                              "--perturb-jacobian", "1e-3"])
-    assert code == 5
-    doc = json.loads(out)
-    assert "pipeline-oracle" in doc["failed"]
 
 
 def test_verify_ex5_zero_jacobian_fails_the_battery(capsys):
@@ -289,6 +284,11 @@ def test_seeded_outputs_byte_identical(capsys):
     ["certify", "--map", "zampieri-ex5", "--criterion", "thm21", "--sphere", "inf,10"],
     ["certify", "--map", "cubic1d", "--criterion", "coercive", "--radii", "1,nan"],
     ["certify", "--map", "cubic1d", "--criterion", "coercive", "--radii=-4,-2,-1"],
+    # a count inside a vector follows the integer rule, and --res takes at most nx,ny
+    ["certify", "--map", "zampieri-ex5", "--criterion", "thm21", "--grid", "-1,1,-1,1,3.9"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "thm21", "--ball", "1,20.9"],
+    ["certify", "--map", "zampieri-ex5", "--criterion", "thm21", "--sphere", "1,20.9"],
+    ["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--res", "3,3,7", "--workers", "1"],
 ])
 def test_bad_values_exit_one_without_traceback(capsys, argv):
     assert main(argv) == 1

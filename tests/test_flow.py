@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from test_basin import COMPLEX_EXP, FOLD
 from newtonflow.flow import (
     FIELD_BLOCK,
     SAMPLE_ERRORS,
+    SCAN_OPTIONS,
     Direction,
     FlowFailure,
     FlowOptions,
@@ -22,7 +24,7 @@ from newtonflow.flow import (
     newton_fields,
     solve_inverse,
 )
-from newtonflow.maps import C1Map, builtin, zampieri_field
+from newtonflow.maps import C1Map, builtin, registry_entries, zampieri_field
 
 ZAMP = builtin("zampieri-ex5")
 F_ORIGIN = (1.0, 0.0)  # f(0,0) for the planar oracle map
@@ -119,6 +121,28 @@ def test_backward_flow_inverts_forward():
     assert decay_drift(bw) <= 1e-6 * np.exp(3.0)
 
 
+def test_both_time_directions_are_pinned():
+    # bit-exact runs of every fixed-dimension built-in map, forward and
+    # backward, at a precise and at the scan tolerance: 120 trajectories
+    # whose statuses span all five outcomes.  A change to the stepper that
+    # moves any t, state, residual, status or step count moves the digest.
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(0)
+    for entry in registry_entries():
+        if entry.dim is None:
+            continue
+        m = builtin(entry.key)
+        for start, target in rng.uniform(-2.0, 2.0, (6, 2, entry.dim)):
+            for opts in (FlowOptions(t_max=3.0), SCAN_OPTIONS):
+                for direction in Direction:
+                    traj = integrate(m, start, target, opts, direction)
+                    for a in (traj.t, traj.states, traj.residuals):
+                        digest.update(a.tobytes())
+                    digest.update(f"{traj.status.value} {traj.steps};".encode())
+    assert digest.hexdigest() == (
+        "fe4cc4bf233b862b58ec6510bb3b158eb93cb687d45ff3195c1c8e9fdd38ad30")
+
+
 def test_drift_bound_scales_with_tolerance():
     rot = builtin("rot-poly2d")
     cases = [
@@ -178,12 +202,12 @@ def test_solve_inverse_failure_wraps_trajectory():
 
 
 def _full_flow_solve(m, target, start):
-    """The solve without the handoff: integrate at the full FlowOptions,
-    then the 3-step polish."""
-    traj = integrate(m, start, target, FlowOptions())
-    if traj.status is not FlowStatus.CONVERGED:
+    """The solve without the handoff: the flow at the full FlowOptions, then
+    the Newton polish."""
+    traj, x = _flow_then_polish(m, start, target, FlowOptions())
+    if x is None:
         raise FlowFailure(traj)
-    return _newton_polish(m, traj.final_state, target)
+    return x
 
 
 def _cube_fn(x):
@@ -275,18 +299,33 @@ def test_solve_inverse_does_less_integrator_work():
 CUBE_1D = C1Map("x-cubed", 1, lambda x: x**3, lambda x: np.array(((3.0 * x[0] ** 2,),)))
 
 
-def test_solve_inverse_falls_back_to_the_full_flow(monkeypatch):
+def _spy_flow_runs(monkeypatch):
+    """Record the residual_tol of every flow run and of every Newton polish."""
     import newtonflow.flow as flow_mod
 
-    polish_steps = []
+    seen = {"integrate": [], "polish": []}
 
-    def spy(m, start, target, opts, steps=3):
-        polish_steps.append(steps)
-        return _flow_then_polish(m, start, target, opts, steps)
+    def spy_integrate(m, start, target, opts, direction):
+        seen["integrate"].append(opts.residual_tol)
+        return integrate(m, start, target, opts, direction)
 
-    monkeypatch.setattr(flow_mod, "_flow_then_polish", spy)
+    def spy_polish(m, x, target, residual_tol):
+        seen["polish"].append(residual_tol)
+        return _newton_polish(m, x, target, residual_tol)
+
+    monkeypatch.setattr(flow_mod, "integrate", spy_integrate)
+    monkeypatch.setattr(flow_mod, "_newton_polish", spy_polish)
+    return seen
+
+
+def test_solve_inverse_falls_back_to_the_full_flow(monkeypatch):
+    # the handoff run stops at 1e-2 of |f(1) - 0| = 1; its polish misses
+    # residual_tol, so the full flow runs and both polishes aim at the
+    # caller's residual_tol
+    seen = _spy_flow_runs(monkeypatch)
     x = solve_inverse(CUBE_1D, (0.0,), (1.0,))
-    assert polish_steps == [8, 3]
+    tol = FlowOptions().residual_tol
+    assert seen == {"integrate": [1e-2, tol], "polish": [tol, tol]}
     full = _flow_then_polish(CUBE_1D, (1.0,), (0.0,), FlowOptions())[1]
     assert x.tobytes() == full.tobytes()
     assert abs(x[0] ** 3) <= FlowOptions().residual_tol
@@ -332,18 +371,10 @@ def test_handoff_approach_keeps_looser_caller_tolerances(monkeypatch, tols, appr
 def test_a_failed_handoff_run_is_followed_by_the_full_path(monkeypatch):
     # at scan tolerance the handoff run is no longer the full run step for
     # step, so its failure is not the answer: the full path runs and raises
-    import newtonflow.flow as flow_mod
-
-    polish_steps = []
-
-    def spy(m, start, target, opts, steps=3):
-        polish_steps.append(steps)
-        return _flow_then_polish(m, start, target, opts, steps)
-
-    monkeypatch.setattr(flow_mod, "_flow_then_polish", spy)
+    seen = _spy_flow_runs(monkeypatch)
     with pytest.raises(FlowFailure) as ei:
         solve_inverse(builtin("arctan1d"), (2.0,), (0.0,))
-    assert polish_steps == [8, 3]
+    assert seen == {"integrate": [2e-2, FlowOptions().residual_tol], "polish": []}
     assert ei.value.status is FlowStatus.BLOWUP
 
 
@@ -368,9 +399,32 @@ def test_solve_inverse_residual_norm_overflow_is_quiet():
 
 def test_newton_polish_refuses_a_step_whose_residual_norm_overflows():
     # Newton for x^3 = 1 from 1e-30 jumps to x ~ 3.3e59, where f ~ 3.7e178
-    # is finite but its square is not: the norm is inf, never a decrease
-    for theta in (1.0, 0.5):
-        assert _newton_polish(CUBE_1D, (1e-30,), (1.0,), theta=theta).tolist() == [1e-30]
+    # is finite but its square is not: the norm is inf, never a decrease,
+    # whether the halving test or the landing test is the one that applies
+    for residual_tol in (FlowOptions().residual_tol, math.inf):
+        assert _newton_polish(CUBE_1D, (1e-30,), (1.0,), residual_tol).tolist() == [1e-30]
+
+
+def _identity_with_jacobian(slope, calls):
+    """f(x) = x with Jacobian ``slope``: a Newton step keeps 1 - 1/slope of
+    the residual.  ``calls`` collects the Jacobian evaluations."""
+    return C1Map("identity", 1, lambda x: x,
+                 lambda x: calls.append(x) or np.array(((slope,),)))
+
+
+@pytest.mark.parametrize("slope, x0, kept", [
+    (3.0, 1.0, 0),    # to 2/3 of a residual above residual_tol: refused
+    (1.5, 1.0, 8),    # to 1/3, still above residual_tol: each step halves
+    (3.0, 1e-10, 8),  # to 2/3 of a residual within residual_tol: each lands
+])
+def test_newton_polish_keeps_a_step_that_halves_or_lands(slope, x0, kept):
+    calls = []
+    x = _newton_polish(_identity_with_jacobian(slope, calls), (x0,), (0.0,), 1e-9)
+    want = x0
+    for _ in range(kept):
+        want -= want / slope
+    assert x.tolist() == [want]
+    assert len(calls) == min(kept + 1, 8)
 
 
 def test_trajectory_csv_and_summary(tmp_path):
