@@ -543,7 +543,7 @@ def check_theorem31(m: C1Map, k: AuxFunction, sampler_x, n_dirs: int = 16,
         for x in pts:
             try:
                 jac = m.jacobian(x)
-                vs = [linalg._solve_raw(jac, u) for u in dirs]
+                vs = [linalg._solve_raw(jac, u) for u in dirs.tolist()]
             except SAMPLE_ERRORS:
                 vs = None
             yield x, vs

@@ -268,6 +268,7 @@ _HANDOFF = 1e-2
 _POLISH_STEPS = 8  # most Newton steps of one _newton_polish
 
 
+@np.errstate(all="ignore")
 def integrate(
     m: C1Map,
     start,
@@ -279,7 +280,8 @@ def integrate(
 
     The returned Trajectory's status reports how the run ended; in-flight
     failures (singular Jacobian, overflow, vanishing steps) become statuses
-    rather than exceptions.  Samples are recorded at every accepted step.
+    rather than exceptions, and numpy's floating-point warnings are off.
+    Samples are recorded at every accepted step.
     """
     opts = opts or FlowOptions()
     x = as_vector(start, m.dim)
@@ -320,7 +322,8 @@ def integrate(
     solve = linalg._solve_raw
     k = np.empty((7, m.dim))
     try:
-        k[0] = solve(jacf(x), -r)  # FSAL: each accepted step hands k[6] on to k[0]
+        # FSAL: each accepted step hands k[6] on to k[0]
+        k[0] = solve(jacf(x), [-v for v in r.tolist()])
     except (SingularError, NonFiniteError, OverflowError):
         return finish(FlowStatus.SINGULAR_JACOBIAN, 0)
 
@@ -337,6 +340,8 @@ def integrate(
     dim = m.dim
     abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
     blowup_sq = opts.blowup_radius * opts.blowup_radius
+    xl = x.tolist()
+    heads = [k[:i] for i in range(7)]  # views: k[:i] without a slice per stage
 
     while True:
         if attempts >= opts.max_steps:
@@ -348,18 +353,19 @@ def integrate(
                 return finish(FlowStatus.SINGULAR_JACOBIAN, accepted)
             return finish(FlowStatus.STEP_FAILURE, accepted)
 
-        # Stage i is x + (sgn * h) * (A_i @ k[:i]) with k[i] = F, computed in
-        # place to keep small-array overhead out of the hot loop; the last
-        # stage is x_new.  The step carries the time sign.
+        # Stage i is x + (sgn * h) * (A_i @ k[:i]) with k[i] = F; the last
+        # stage is x_new.  The step carries the time sign.  The stage sums
+        # and the self-dots below stay numpy calls: they are BLAS kernels
+        # with FMA, whose bits a plain float sum does not reproduce.  Every
+        # elementwise operation runs on Python floats, which round like
+        # numpy's ufuncs without their per-call cost on n-vectors.
         sh = sgn * h
         try:
             for i in range(1, 7):
-                y = _A_ROWS[i].dot(k[:i])
-                y *= sh
-                y += x
+                yl = [a + sh * d for a, d in zip(xl, _A_ROWS[i].dot(heads[i]).tolist())]
+                y = np.array(yl)
                 r_new = fn(y) - target
-                k[i] = solve(jacf(y), -r_new)
-            x_new = y
+                k[i] = solve(jacf(y), [-v for v in r_new.tolist()])
         except (*SAMPLE_ERRORS, FloatingPointError) as exc:
             last_exc = exc
             last_rejected = True
@@ -367,10 +373,11 @@ def integrate(
             continue
 
         # embedded 4th/5th-order error estimate, RMS-scaled; comparisons are
-        # negated so NaN falls into the reject branch
-        err_vec = (sh * _E.dot(k)) / (
-            abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-        )
+        # negated so NaN falls into the reject branch.  max() drops a NaN of
+        # x_new where np.maximum keeps it, but a NaN there comes from a
+        # non-finite stage, which already makes its error term non-finite.
+        err_vec = np.array([sh * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
+                            for e, a, b in zip(_E.dot(k).tolist(), xl, yl)])
         err = math.sqrt(float(err_vec.dot(err_vec)) / dim)
         if not (err <= 1.0):
             last_exc = None
@@ -394,7 +401,7 @@ def integrate(
 
         tau += h
         accepted += 1
-        x = x_new
+        x, xl = y, yl
         r = r_new
         k[0] = k[6]
         rnorm = math.sqrt(float(r.dot(r)))

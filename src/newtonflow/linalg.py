@@ -1,10 +1,10 @@
 """Dense linear algebra kernels: the singularity rule, solves, spectral norms.
 
-Everything here operates on plain numpy arrays.  Matrices are square, real and
-dense; the target scale is n <= ~100, so there is no sparse path.  Dimensions
-1 and 2 get closed-form fast paths because the Newton-flow integrator calls
-these kernels thousands of times per trajectory on planar problems; larger
-matrices go through numpy's LAPACK bindings.
+Everything here operates on numpy arrays and Python floats.  Matrices are
+square, real and dense; the target scale is n <= ~100, so there is no sparse
+path.  Dimensions 1 and 2 get closed-form fast paths because the Newton-flow
+integrator calls these kernels thousands of times per trajectory on planar
+problems; larger matrices go through numpy's LAPACK bindings.
 """
 
 from __future__ import annotations
@@ -140,13 +140,16 @@ def _regular_extremes(a: np.ndarray) -> tuple[float, float]:
     return smax, smin
 
 
-def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve_raw(a: np.ndarray, b: list[float]) -> tuple[float, ...] | np.ndarray:
     """Solve A x = b without input validation, for hot loops.
 
-    Applies the singularity rule first.  Dimensions 1 and 2 run in scalar
-    arithmetic (Python floats give the same IEEE results as numpy scalars);
-    the 2x2 rule is applied to _extremes2 of the four entries, and the solve
-    is one row-pivoted elimination step.
+    ``b`` is the right-hand side as Python floats (``ndarray.tolist()``).
+    Applies the singularity rule first.  Dimensions 1 and 2 run in Python
+    float arithmetic, which gives the same IEEE results as numpy scalars,
+    and return x as a tuple of floats, with no intermediate array: the 2x2
+    rule is applied to _extremes2 of the four entries, and the solve is one
+    row-pivoted elimination step.  Larger systems go through LAPACK and
+    return an array.
     """
     n = a.shape[0]
     if n == 2:
@@ -154,15 +157,15 @@ def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         smax, smin = _extremes2(a00, a01, a10, a11)
         if not _regular(smax, smin):
             raise SingularError(smax, smin)
-        b0, b1 = b.tolist()
+        b0, b1 = b
         if _pivot_swaps(a00, a10):
-            return np.array(_eliminate(a10, a11, a00, a01, b1, b0))
-        return np.array(_eliminate(a00, a01, a10, a11, b0, b1))
+            return _eliminate(a10, a11, a00, a01, b1, b0)
+        return _eliminate(a00, a01, a10, a11, b0, b1)
     if n == 1:
         a00 = a.item()
         if not _regular(abs(a00), abs(a00)):
             raise SingularError(abs(a00), abs(a00))
-        return np.array((b.item() / a00,))
+        return (b[0] / a00,)
     _regular_extremes(a)
     return np.linalg.solve(a, b)
 
@@ -170,13 +173,14 @@ def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the 2x2 systems a[i] x[i] = b[i] of an (N, 2, 2) and an (N, 2) block.
 
-    Returns (x, ok).  Where ok[i] holds, x[i] equals ``_solve_raw(a[i], b[i])``
-    bit for bit: it is _extremes2 unscaled, then _regular, _pivot_swaps and
-    _eliminate of the 2x2 path, applied elementwise.  ok[i] is False, and
-    x[i] meaningless, when the rule fails, when the squared entries leave the
-    band in which _extremes2 runs unscaled, or when an input or the result is
-    non-finite (where this path divides by zero, the scalar one raises
-    ZeroDivisionError); the caller takes such rows through the scalar path.
+    Returns (x, ok).  Where ok[i] holds, x[i] equals
+    ``_solve_raw(a[i], b[i].tolist())`` bit for bit: it is _extremes2
+    unscaled, then _regular, _pivot_swaps and _eliminate of the 2x2 path,
+    applied elementwise.  ok[i] is False, and x[i] meaningless, when the
+    rule fails, when the squared entries leave the band in which _extremes2
+    runs unscaled, or when an input or the result is non-finite (where this
+    path divides by zero, the scalar one raises ZeroDivisionError); the
+    caller takes such rows through the scalar path.
     """
     a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
     b0, b1 = b[:, 0], b[:, 1]
@@ -197,7 +201,7 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def solve_dense(a, b) -> np.ndarray:
     """Solve A x = b for a square A, raising SingularError under the rule."""
     a = as_matrix(a)
-    return _solve_raw(a, as_vector(b, a.shape[0]))
+    return np.asarray(_solve_raw(a, as_vector(b, a.shape[0]).tolist()))
 
 
 def spectral_extremes(a) -> tuple[float, float]:

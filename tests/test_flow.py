@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -121,26 +123,127 @@ def test_backward_flow_inverts_forward():
     assert decay_drift(bw) <= 1e-6 * np.exp(3.0)
 
 
-def test_both_time_directions_are_pinned():
-    # bit-exact runs of every fixed-dimension built-in map, forward and
-    # backward, at a precise and at the scan tolerance: 120 trajectories
-    # whose statuses span all five outcomes.  A change to the stepper that
-    # moves any t, state, residual, status or step count moves the digest.
+def _counted(m, calls):
+    """m with its raw fn and jac counting their calls into ``calls``; a map
+    without jac counts its finite-difference evaluations as fn calls."""
+    def fn(x):
+        calls["fn"] += 1
+        return m.fn(x)
+
+    def jac(x):
+        calls["jac"] += 1
+        return m.jac(x)
+
+    return dataclasses.replace(m, fn=fn, jac=None if m.jac is None else jac)
+
+
+def _pinned_runs(maps, rng):
+    """sha256 over t, states, residuals, status and steps of 24 runs per map
+    (6 seeded (start, target) pairs x forward/backward x a precise and the
+    scan tolerance), with the raw fn and jac calls they made."""
     digest = hashlib.sha256()
-    rng = np.random.default_rng(0)
-    for entry in registry_entries():
-        if entry.dim is None:
-            continue
-        m = builtin(entry.key)
-        for start, target in rng.uniform(-2.0, 2.0, (6, 2, entry.dim)):
+    calls = {"fn": 0, "jac": 0}
+    for m in maps:
+        m = _counted(m, calls)
+        for start, target in rng.uniform(-2.0, 2.0, (6, 2, m.dim)):
             for opts in (FlowOptions(t_max=3.0), SCAN_OPTIONS):
                 for direction in Direction:
                     traj = integrate(m, start, target, opts, direction)
                     for a in (traj.t, traj.states, traj.residuals):
                         digest.update(a.tobytes())
                     digest.update(f"{traj.status.value} {traj.steps};".encode())
-    assert digest.hexdigest() == (
-        "fe4cc4bf233b862b58ec6510bb3b158eb93cb687d45ff3195c1c8e9fdd38ad30")
+    return digest.hexdigest(), calls
+
+
+def test_both_time_directions_are_pinned():
+    # bit-exact runs of every fixed-dimension built-in map, forward and
+    # backward, at a precise and at the scan tolerance: 120 trajectories
+    # whose statuses span all five outcomes.  A change to the stepper that
+    # moves any t, state, residual, status or step count moves the digest,
+    # and one that does more or less work moves the call counts.
+    maps = [builtin(e.key) for e in registry_entries() if e.dim is not None]
+    digest, calls = _pinned_runs(maps, np.random.default_rng(0))
+    assert digest == "fe4cc4bf233b862b58ec6510bb3b158eb93cb687d45ff3195c1c8e9fdd38ad30"
+    assert calls == {"fn": 140590, "jac": 140590}
+
+
+def test_lapack_solves_are_pinned():
+    # linear maps at n = 3, whose field solves go through LAPACK
+    rng = np.random.default_rng(1)
+    maps = [builtin("linear", a=a + 3.0 * np.eye(3)) for a in rng.standard_normal((3, 3, 3))]
+    assert _pinned_runs(maps, rng) == (
+        "5bee70b8d920be9cf80d4dbf5c791f3b9271e60e81e837c746791db533daa785",
+        {"fn": 37254, "jac": 37254})
+
+
+def test_finite_difference_jacobians_are_pinned():
+    # maps without jac, whose Jacobians are central differences of fn
+    maps = [C1Map(f"{key}-fd", builtin(key).dim, builtin(key).fn)
+            for key in ("zampieri-ex5", "rot-poly2d", "cubic1d")]
+    assert _pinned_runs(maps, np.random.default_rng(2)) == (
+        "b6b508481152294355b355d30cdace6e6d5dbd1efc2d8f6834f208a43d229899",
+        {"fn": 267526, "jac": 0})
+
+
+def _holed_fn(bad, x):
+    """x + x^3/10 per component, and ``bad`` wherever 0.45 < x[0] < 0.55."""
+    if 0.45 < x[0] < 0.55:
+        return np.full(len(x), bad)
+    return x + 0.1 * x**3
+
+
+def _holed_jac(x):
+    # singular at a non-finite x, so a stage after a bad value raises
+    return np.diag(1.0 + 0.3 * x**2)
+
+
+def _holed_linear_fn(bad, x):
+    """2x, and ``bad`` wherever 0.45 < x[0] < 0.55."""
+    return np.full(len(x), bad) if 0.45 < x[0] < 0.55 else 2.0 * x
+
+
+def _twice_identity(x):
+    # finite at any x, so bad values reach the error test and the oracle
+    return 2.0 * np.eye(len(x))
+
+
+# Each run's status, accepted steps and sha256 prefix of t and states, the
+# same for each bad value, and its fn calls per bad value, recorded before
+# integrate's elementwise arithmetic moved to Python floats.  The bands stop
+# every run at x[0] = 0.55.  The cubic map's Jacobian raises SingularError at
+# the non-finite stage after a bad value, so the run ends singular-jacobian;
+# the linear map's bad values reach the error test.
+_BAD = (math.nan, math.inf, -math.inf)
+_HOLED_RUNS = {
+    ("cubic", 1): ("singular-jacobian", 33, "87afec21078f7fbd", (361, 401, 401)),
+    ("cubic", 2): ("singular-jacobian", 39, "9bdabc87e133d043", (403, 403, 403)),
+    ("linear", 1): ("step-failure", 38, "4c9485fab513fb2d", (481, 481, 481)),
+    ("linear", 2): ("step-failure", 40, "26450f3c9cb652c1", (493, 493, 493)),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", _BAD)
+@pytest.mark.parametrize("form", ["cubic", "linear"])
+def test_non_finite_values_are_rejected_steps(form, dim, bad):
+    # the flow from x[0] = 1.5 toward the preimage x[0] = -1 crosses the
+    # band where fn is NaN or infinite: every step with a stage in it is
+    # rejected, quietly, and no recorded sample is non-finite
+    fn, jac = ((_holed_fn, _holed_jac) if form == "cubic"
+               else (_holed_linear_fn, _twice_identity))
+    m = C1Map("holed", dim, partial(fn, bad), jac)
+    calls = {"fn": 0, "jac": 0}
+    start, x_star = np.array((1.5, -0.7))[:dim], np.array((-1.0, 0.8))[:dim]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(_counted(m, calls), start, m.eval(x_star), FlowOptions())
+    assert np.isfinite(traj.states).all() and np.isfinite(traj.residuals).all()
+    assert not ((0.45 < traj.states[:, 0]) & (traj.states[:, 0] < 0.55)).any()
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (traj.t, traj.states)))
+    status, steps, prefix, fn_calls = _HOLED_RUNS[form, dim]
+    assert traj.status.value == status and traj.steps == steps
+    assert digest.hexdigest()[:16] == prefix
+    assert calls["fn"] == fn_calls[_BAD.index(bad)]
 
 
 def test_drift_bound_scales_with_tolerance():

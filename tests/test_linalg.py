@@ -206,7 +206,7 @@ def test_solve_rows_matches_scalar_solve():
     x, ok = _solve_rows(a, b)
     for i in range(len(a)):
         try:
-            ref = _solve_raw(a[i], b[i])
+            ref = np.asarray(_solve_raw(a[i], b[i].tolist()))
         except (SingularError, ArithmeticError):
             ref = None
         (a00, a01), (a10, a11) = a[i].tolist()

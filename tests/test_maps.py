@@ -4,7 +4,9 @@ import pickle
 import numpy as np
 import pytest
 
+from newtonflow import maps
 from newtonflow.maps import (
+    _EXP_MAX,
     C1Map,
     NonFiniteError,
     UnknownMapError,
@@ -204,13 +206,28 @@ def test_maps_survive_pickle_round_trip():
             assert back.jac_rows(x[None]).tobytes() == m.jac_rows(x[None]).tobytes()
 
 
+# edges of the exponential's argument: non-finite, signed zero, the clip
+# point and its neighbours, in both signs (zampieri_radial takes e^{-xi})
+_EXP_EDGES = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, _EXP_MAX,
+                       np.nextafter(_EXP_MAX, math.inf), np.nextafter(_EXP_MAX, 0.0)])
+_EXP_EDGES = np.concatenate((_EXP_EDGES, -_EXP_EDGES))
+
+
 def _row_points(n, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-700.0, 700.0, (n, 2))
     pts[::3] = rng.uniform(-8.0, 8.0, (len(pts[::3]), 2))
     pts[::5, 1] *= 10.0 ** rng.uniform(0.0, 200.0, len(pts[::5]))
     pts[::7, 0] = rng.uniform(709.0, 800.0, len(pts[::7]))   # past math.exp's overflow
+    sub = pts[1::11]   # |xi| in 708..745: subnormal e^xi or e^{-xi}
+    sub[:, 0] = rng.uniform(708.0, 745.0, len(sub)) * rng.choice((-1.0, 1.0), len(sub))
+    pts[2::13, 0] = rng.choice(_EXP_EDGES, len(pts[2::13]))
+    pts[3::17, 1] = rng.choice(_EXP_EDGES, len(pts[3::17]))
     return pts
+
+
+def _finite(v):
+    return v is not None and np.isfinite(v).all()
 
 
 @pytest.mark.parametrize("m", [
@@ -219,17 +236,21 @@ def _row_points(n, seed):
 ], ids=["zampieri-ex5", "perturbed"])
 def test_row_forms_equal_scalar_bytes(m):
     pts = _row_points(4000, seed=41)
-    fy, jy = m.fn_rows(pts), m.jac_rows(pts)
+    with np.errstate(over="ignore"):   # the perturbation past e^{_EXP_MAX}
+        fy, jy = m.fn_rows(pts), m.jac_rows(pts)
     assert fy.shape == (len(pts), 2) and jy.shape == (len(pts), 2, 2)
     finite = 0
     for i, x in enumerate(pts):
         for rows, one in ((fy, m.fn), (jy, m.jac)):
             try:
-                ref = one(x)
+                with np.errstate(over="ignore"):
+                    ref = np.asarray(one(x), dtype=float)
             except OverflowError:
+                ref = None
+            if not _finite(ref):
                 assert not np.isfinite(rows[i]).all()   # a row the form cannot compute
                 continue
-            assert rows[i].tobytes() == np.asarray(ref, dtype=float).tobytes(), x
+            assert rows[i].tobytes() == ref.tobytes(), x
             finite += 1
     assert finite > len(pts)
 
@@ -252,11 +273,30 @@ def test_radial_rows_equal_the_point_formula():
         try:
             ref = _radial_point(x)
         except OverflowError:
+            ref = None
+        if not _finite(ref):
             assert not math.isfinite(v)
             continue
         assert np.float64(v).tobytes() == np.float64(ref).tobytes(), x
         finite += 1
     assert finite > len(pts) // 2
+
+
+def _exp_rows_per_element(v):
+    # the per-element formulation of _exp_rows, the reference for its one pass
+    return np.array([math.exp(s) if s <= _EXP_MAX else math.inf for s in v.tolist()])
+
+
+def test_exp_rows_equal_the_per_element_formulation(monkeypatch):
+    pts = _row_points(4000, seed=43)
+    pts[::9, 0] = -pts[::9, 0]
+    edges = np.concatenate((_EXP_EDGES, np.linspace(-745.5, -707.5, 400)))
+    assert maps._exp_rows(edges).tobytes() == _exp_rows_per_element(edges).tobytes()
+    m = builtin("zampieri-ex5")
+    forms = (m.fn_rows, m.jac_rows, zampieri_radial)
+    got = [form(pts).tobytes() for form in forms]
+    monkeypatch.setattr(maps, "_exp_rows", _exp_rows_per_element)
+    assert got == [form(pts).tobytes() for form in forms]
 
 
 def _row_loop(m, block):
