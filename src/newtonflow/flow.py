@@ -366,7 +366,7 @@ def integrate(
                 y = np.array(yl)
                 r_new = fn(y) - target
                 k[i] = solve(jacf(y), [-v for v in r_new.tolist()])
-        except (*SAMPLE_ERRORS, FloatingPointError) as exc:
+        except SAMPLE_ERRORS as exc:
             last_exc = exc
             last_rejected = True
             h *= 0.5

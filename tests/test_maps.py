@@ -226,10 +226,6 @@ def _row_points(n, seed):
     return pts
 
 
-def _finite(v):
-    return v is not None and np.isfinite(v).all()
-
-
 @pytest.mark.parametrize("m", [
     builtin("zampieri-ex5"),
     builtin("zampieri-ex5").with_perturbed_jacobian(1e-3),
@@ -247,8 +243,10 @@ def test_row_forms_equal_scalar_bytes(m):
                     ref = np.asarray(one(x), dtype=float)
             except OverflowError:
                 ref = None
-            if not _finite(ref):
-                assert not np.isfinite(rows[i]).all()   # a row the form cannot compute
+            if ref is None or np.isnan(x).any():
+                # a row the form cannot compute, or a NaN input: math.exp(nan)
+                # is nan where the row form clips it to inf
+                assert not np.isfinite(rows[i]).all()
                 continue
             assert rows[i].tobytes() == ref.tobytes(), x
             finite += 1
@@ -274,7 +272,7 @@ def test_radial_rows_equal_the_point_formula():
             ref = _radial_point(x)
         except OverflowError:
             ref = None
-        if not _finite(ref):
+        if ref is None or np.isnan(x).any():
             assert not math.isfinite(v)
             continue
         assert np.float64(v).tobytes() == np.float64(ref).tobytes(), x
