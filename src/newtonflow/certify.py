@@ -158,15 +158,42 @@ class SphereSampler(_RadialSampler):
         return _sphere(np.random.default_rng(self.seed), dim, self.radius, self.count)
 
 
-def _quad_inverse(omega, lo: float, hi: float, limit: int) -> float:
-    """Integral of 1/omega over [lo, hi] by adaptive quadrature.
+_GAUSS_ORDERS = (20, 30)      # Gauss-Legendre orders of a numeric integral of 1/omega
+_GAUSS_RTOL = 1e-10           # the relative gap between the two orders that is accepted
 
-    scipy is imported here, on first use, so that importing the package and
-    every check that does not integrate 1/omega need only numpy.
+
+def _inverse_integral(omega, lo: float, hi: float) -> float:
+    """Integral of 1/omega over [lo, hi], 0 <= lo <= hi <= inf.
+
+    An OmegaPoly of degree <= 2 integrates in closed form.  Any other omega
+    gets Gauss-Legendre sums at both _GAUSS_ORDERS on panels across which
+    1 + s at most doubles; for hi = inf the panels stop at top = max(lo, 1)
+    and [top, inf) is mapped from [0, 1) by s = top + (1 + top) u / (1 - u).
+    ValueError instead of a number when the two sums differ by more than
+    _GAUSS_RTOL relative (or are not finite).
     """
-    from scipy.integrate import quad
-
-    return quad(lambda s: 1.0 / omega(s), lo, hi, limit=limit)[0]
+    if isinstance(omega, OmegaPoly) and omega.degree <= 2:
+        return omega.inverse_integral(lo, hi)
+    top = max(lo, 1.0) if hi == math.inf else hi
+    edges = [lo]
+    while edges[-1] < top:
+        edges.append(min(2.0 * edges[-1] + 1.0, top))
+    a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    sums = []
+    for order in _GAUSS_ORDERS:
+        x, w = np.polynomial.legendre.leggauss(order)
+        s, ds = 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+        if hi == math.inf:
+            u = 0.5 * (x + 1.0)
+            s = np.vstack([s, top + (1.0 + top) * u / (1.0 - u)])
+            ds = np.vstack([ds, 0.5 * (1.0 + top) * w / (1.0 - u) ** 2])
+        vals = np.array([omega(v) for v in s.ravel().tolist()], dtype=float)
+        sums.append(float(ds.ravel() @ (1.0 / vals)))
+    coarse, fine = sums
+    if not abs(fine - coarse) <= _GAUSS_RTOL * abs(fine):
+        raise ValueError(f"integral of 1/omega over [{lo}, {hi}] did not settle: "
+                         f"{coarse} and {fine} at orders {_GAUSS_ORDERS}")
+    return fine
 
 
 # --- auxiliary coercive functions -------------------------------------------
@@ -264,7 +291,9 @@ def aux_hadamard(omega: Callable[[float], float]) -> AuxFunction:
 
     The cap (value and slope matched at rho0) removes the kink of ||x|| at the
     origin so the function is C^1 everywhere.  ``omega`` must be positive and
-    continuous on [0, inf).
+    continuous on [0, inf).  The integral is closed-form for an OmegaPoly of
+    degree <= 2 and a Gauss-Legendre rule otherwise (_inverse_integral); k
+    raises ValueError where that rule does not settle.
     """
     rho0 = SMOOTHING_RADIUS
     for s in (0.0, 0.5 * rho0, rho0, 5.0, 100.0):
@@ -272,13 +301,7 @@ def aux_hadamard(omega: Callable[[float], float]) -> AuxFunction:
         if not (w > 0.0) or not math.isfinite(w):
             raise ValueError(f"omega must be positive and finite (omega({s}) = {w})")
 
-    def _integral(lo, hi):
-        val = _quad_inverse(omega, lo, hi, 200)
-        if not math.isfinite(val):
-            raise ValueError("quadrature failure in aux_hadamard")
-        return val
-
-    i0 = _integral(0.0, rho0)
+    i0 = _inverse_integral(omega, 0.0, rho0)
     c2 = 1.0 / (2.0 * rho0 * float(omega(rho0)))
     c0 = i0 - c2 * rho0 * rho0
 
@@ -286,7 +309,7 @@ def aux_hadamard(omega: Callable[[float], float]) -> AuxFunction:
         rho = float(np.linalg.norm(x))
         if rho <= rho0:
             return c0 + c2 * rho * rho
-        return i0 + _integral(rho0, rho)
+        return _inverse_integral(omega, 0.0, rho)
 
     def dp(x, v):
         rho = float(np.linalg.norm(x))
@@ -480,7 +503,9 @@ def check_theorem21(m: C1Map, x0, k: AuxFunction, sampler, seed: int | None = No
                 # at the equilibrium the field vanishes: D+ undefined, point dropped
                 yield x, ([f_vec] if np.any(f_vec) else []) if has_field else None
 
-    return _dplus_sup("thm21", m, k, along_field(), seed or 0, seed)
+    # spawned from the seed: the evidence must not repeat a ball or sphere sampler's draw
+    co_rng = np.random.default_rng(np.random.SeedSequence(seed or 0).spawn(1)[0])
+    return _dplus_sup("thm21", m, k, along_field(), co_rng, seed)
 
 
 def check_cor22(m: C1Map, x0, x1, a: float, b: float, c: float, sampler,
@@ -582,6 +607,27 @@ class OmegaPoly:
             acc = acc * s + c
         return acc
 
+    def inverse_integral(self, lo: float, hi: float) -> float:
+        """Integral of 1/omega over [lo, hi] (hi may be inf) as G(hi) - G(lo)
+        for an antiderivative G; degree <= 2 only."""
+        if self.degree > 2:
+            raise ValueError("closed form only for degree <= 2")
+        c0, c1, c2 = self.coeffs + (0.0,) * (2 - self.degree)
+        disc = c1 * c1 - 4.0 * c0 * c2
+        root = math.sqrt(abs(disc))
+
+        def g(s):
+            if c2 == 0.0:
+                return math.log1p(c1 * s / c0) / c1 if c1 else s / c0
+            if disc < 0.0:
+                return 2.0 * math.atan((2.0 * c2 * s + c1) / root) / root
+            if disc == 0.0:  # omega = (c2 s + c1/2)^2 / c2
+                return -1.0 / (c2 * s + 0.5 * c1)
+            # the log of the ratio of omega's two linear factors, 0 at s = inf
+            return math.log1p(-root / (c2 * s + 0.5 * (c1 + root))) / root
+
+        return g(hi) - g(lo)
+
     def __repr__(self):
         return f"OmegaPoly({list(self.coeffs)})"
 
@@ -591,8 +637,10 @@ def check_hadamard(m: C1Map, omega, sampler, seed: int | None = None) -> Certifi
     1/omega divergent.
 
     Part (i) is checked pointwise on the samples.  Part (ii) is decided
-    symbolically for OmegaPoly bounds; for arbitrary callables only numeric
-    evidence on _DOUBLING_RADII is collected and the verdict is capped at inconclusive.
+    symbolically for OmegaPoly bounds (a convergent one reports its integral
+    over [0, inf), from _inverse_integral, as integral_value); for arbitrary
+    callables only numeric evidence on _DOUBLING_RADII is collected and the
+    verdict is capped at inconclusive.
     """
     pts = sampler.points(m.dim)
     seed = _seed_of(sampler, seed)
@@ -621,7 +669,7 @@ def check_hadamard(m: C1Map, omega, sampler, seed: int | None = None) -> Certifi
         stats["divergence"] = "diverges" if diverges else "converges"
         stats["divergence_decided"] = "symbolic"
         if not diverges:
-            stats["integral_value"] = float(_quad_inverse(omega, 0.0, math.inf, 400))
+            stats["integral_value"] = _inverse_integral(omega, 0.0, math.inf)
             if pointwise_ok:
                 witness = None  # the violation is the convergent integral, not a point
         verdict = Verdict.SATISFIED if pointwise_ok and diverges else Verdict.VIOLATED
@@ -631,7 +679,7 @@ def check_hadamard(m: C1Map, omega, sampler, seed: int | None = None) -> Certifi
         acc = 0.0
         lo = 0.0
         for r in _DOUBLING_RADII:
-            acc += _quad_inverse(omega, lo, r, 200)
+            acc += _inverse_integral(omega, lo, r)
             integrals.append(acc)
             lo = r
         flattening = _flattening(np.diff(np.array([0.0] + integrals)))

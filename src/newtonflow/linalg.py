@@ -209,11 +209,6 @@ def spectral_extremes(a) -> tuple[float, float]:
     return _extremes_raw(as_matrix(a))
 
 
-def operator_norm(a) -> float:
-    """Spectral norm ||A||_2."""
-    return spectral_extremes(a)[0]
-
-
 def inverse_norm(a) -> float:
     """Spectral norm of the inverse, ||A^{-1}||_2 = 1 / sigma_min(A).
 

@@ -14,6 +14,7 @@ from newtonflow.certify import (
     OmegaPoly,
     SphereSampler,
     Verdict,
+    _inverse_integral,
     _sphere,
     aux_hadamard,
     aux_log_coercive,
@@ -559,6 +560,39 @@ def test_omega_poly_validation_and_degree():
     assert OmegaPoly([1.0, 2.0, 3.0])(2.0) == 1.0 + 4.0 + 12.0
 
 
+@pytest.mark.parametrize("coeffs, lo, hi, exact", [
+    ([1.0, 1.0], 1.0, 3.0, math.log(2.0)),
+    ([1.0, 0.0, 1.0], 0.0, math.inf, math.pi / 2.0),
+    ([1.0, 2.0, 1.0], 0.0, math.inf, 1.0),          # zero discriminant: (1 + s)^2
+    ([1.0, 2.0, 1.0], 0.0, 1.0, 0.5),
+    ([1.0, 1.0, 1.0], 0.0, math.inf, 2.0 * math.pi / (3.0 * math.sqrt(3.0))),  # negative
+    ([2.0, 3.0, 1.0], 0.0, math.inf, math.log(2.0)),  # positive: (1 + s)(2 + s)
+    ([2.0], 0.5, 4.5, 2.0),
+    ([1.0, 3.0, 3.0, 1.0], 0.0, math.inf, 0.5),     # (1 + s)^3: the numeric rule
+])
+def test_inverse_integral_matches_closed_forms(coeffs, lo, hi, exact):
+    assert _inverse_integral(OmegaPoly(coeffs), lo, hi) == pytest.approx(exact, rel=1e-15, abs=0)
+
+
+def test_inverse_integral_closed_forms_match_the_numeric_rule():
+    # a plain callable takes the Gauss-Legendre path, the OmegaPoly the antiderivative
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        degree = int(rng.integers(0, 3))
+        omega = OmegaPoly([rng.uniform(0.1, 3.0), *rng.uniform(0.0, 3.0, size=degree)])
+        lo, hi = sorted(rng.uniform(0.0, 50.0, size=2))
+        for b in (hi, math.inf) if omega.degree == 2 else (hi,):
+            closed = _inverse_integral(omega, lo, b)
+            numeric = _inverse_integral(lambda s: omega(s), lo, b)
+            assert numeric == pytest.approx(closed, rel=1e-12, abs=0)
+
+
+def test_inverse_integral_raises_when_the_orders_disagree():
+    # 1/omega peaks at 1e4 over a width of 1e-2 around s = 1/2
+    with pytest.raises(ValueError, match="did not settle"):
+        _inverse_integral(lambda s: 1e-4 + (s - 0.5) ** 2, 0.0, 1.0)
+
+
 def test_coercive_map_gate():
     cert = check_coercive_map(builtin("rot-poly2d"))
     assert cert.verdict is Verdict.SATISFIED
@@ -677,12 +711,12 @@ def test_bounded_inverse_planar_oracle_cross_check():
     import newtonflow.linalg as linalg
 
     # value at the witness agrees with the closed-form inverse Jacobian norm
-    ref = linalg.operator_norm(zampieri_inv_jac(s.witness))
+    ref = linalg.spectral_extremes(zampieri_inv_jac(s.witness))[0]
     assert s.value == pytest.approx(ref, rel=1e-9)
     # and a fine boundary sweep cannot beat the sampled sup by much
     ang = np.linspace(0, 2 * np.pi, 2000)
     grid_sup = max(
-        linalg.operator_norm(zampieri_inv_jac(np.array((np.cos(a), np.sin(a)))))
+        linalg.spectral_extremes(zampieri_inv_jac(np.array((np.cos(a), np.sin(a)))))[0]
         for a in ang
     )
     assert s.value >= 0.97 * grid_sup
@@ -741,10 +775,6 @@ def test_theorem31_directions_are_not_the_evidence_sphere():
     assert _min_gap(dirs, first_sphere) > 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "check_theorem21 seeds the coercivity evidence with the sampler's seed, so "
-    "the first evidence sphere (r = 1, 64 points) repeats the first 64 sample "
-    "directions of a ball or sphere sampler (largest gap 3.3e-16)"))
 def test_theorem21_evidence_is_not_the_sample_draw():
     seen = []
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -387,6 +388,26 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_numpy_is_the_only_dependency():
+    import newtonflow
+
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    src = Path(newtonflow.__file__).parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "newtonflow"}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert set(roots) <= allowed, (path.name, node.lineno, roots)
+    pyproject = src.parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
 
 
 @pytest.mark.parametrize("argv", [

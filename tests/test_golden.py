@@ -11,10 +11,11 @@ and the option file when it is missing, run
 
     PYTHONPATH=src python tests/test_golden.py
 
-The recorder only appends: every line already in the file is kept as it is,
-so a recorded line cannot drift with the code.  Record new commands from the
-commit before the change they are meant to pin.  To re-record a line on
-purpose, delete it from the file first.
+The recorder only adds: every line already in the file is kept as it is, so
+a recorded line cannot drift with the code, and a new line takes its place
+in COMMANDS order.  Record new commands from the commit before the change
+they are meant to pin.  To re-record a line on purpose, delete it from the
+file first.
 """
 
 import contextlib
@@ -22,6 +23,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -135,6 +138,29 @@ def test_seeded_output_matches_golden(record):
     assert _run(record["argv"]) == record
 
 
+# A fresh interpreter in which every import of scipy raises ImportError runs
+# every recorded command: numpy is the only dependency.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from test_golden import _recorded, _run
+print(json.dumps([_run(r["argv"]) for r in _recorded()]))
+"""
+
+
+def test_golden_commands_run_without_scipy():
+    import newtonflow
+
+    path = [str(Path(newtonflow.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env, check=True,
+                         capture_output=True, text=True, timeout=600).stdout
+    got = json.loads(out)
+    assert len(got) == len(_recorded())
+    for run, record in zip(got, _recorded()):
+        assert run == record, record["argv"]
+
+
 def test_golden_file_lists_every_command():
     assert [r["argv"] for r in _recorded()] == COMMANDS
 
@@ -177,11 +203,9 @@ def test_option_table_bytes_match_golden(command, tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    have = [r["argv"] for r in _recorded()]
-    with GOLDEN.open("a") as fh:
-        for argv in COMMANDS:
-            if argv not in have:
-                fh.write(json.dumps(_run(argv)) + "\n")
+    have = {json.dumps(r["argv"]): r for r in _recorded()}
+    records = [have.get(json.dumps(argv)) or _run(argv) for argv in COMMANDS]
+    GOLDEN.write_text("".join(json.dumps(r) + "\n" for r in records))
     if not OPTIONS.exists():
         os.environ["COLUMNS"] = "80"
         with tempfile.TemporaryDirectory() as tmp:
