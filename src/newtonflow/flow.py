@@ -68,10 +68,10 @@ class FlowOptions:
             raise ValueError("max_steps must be positive")
 
 
-# The one "path only" tolerance: runs that decide where the flow goes, not
-# the digits of where it ends (basin membership in every basin scan, the
-# approach leg of solve_inverse).  It trades digits nobody reads for a ~4x
-# faster run.
+# The basin scans' tolerance: runs that decide where the flow goes, not
+# the digits of where it ends.  It trades digits nobody reads for a ~4x
+# faster run, but keeps t_conv, which a scan outputs, to about 1e-6 (the
+# approach leg of solve_inverse, whose digits Newton replaces, runs looser).
 SCAN_OPTIONS = FlowOptions(abs_tol=1e-6, rel_tol=1e-6)
 
 
@@ -261,9 +261,11 @@ _EPS = float(np.finfo(float).eps)
 # solve_inverse hands off to Newton once the residual is this share of its
 # initial norm.  On non-injective maps the flow picks the preimage; Newton
 # started too far out can land on another one (seen on complex exp at 0.5).
-# 1e-2 keeps a wide margin.  Run at SCAN_OPTIONS, the flow to it takes a
-# quarter of the accepted steps it takes at the default 1e-10 (6042 against
-# 23920 over perfbench's solve-batch, seed 5).
+# 1e-2 keeps a wide margin.  The flow to it runs at abs_tol = rel_tol =
+# _HANDOFF**2: the decay oracle (10*rel_tol of the residual per step) then
+# checks every step to a tenth of the share at which it hands off.  That
+# takes a sixth of the accepted steps the default 1e-10 takes (3856 against
+# 23920 over perfbench's solve-batch, seed 5; 6042 at SCAN_OPTIONS).
 _HANDOFF = 1e-2
 _POLISH_STEPS = 8  # most Newton steps of one _newton_polish
 
@@ -478,20 +480,21 @@ def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> n
     Returns x with ||f(x) - y*|| <= residual_tol.  Raises FlowFailure
     (carrying the trajectory) if the flow ends in any non-converged status.
     The flow only has to carry x into the basin of the preimage it leads
-    to, so it runs at SCAN_OPTIONS' tolerances (or the caller's, if looser)
-    and only until the residual is _HANDOFF times its initial norm (or
-    residual_tol, if that is larger).  The Newton polish to the caller's
-    residual_tol then squeezes the last digits quadratically.  On any miss
-    (that run ending non-converged, residual_tol not reached) the full flow
-    runs from ``start`` at ``opts``, followed by the same polish, so the
-    answer and any FlowFailure are those of the full flow.  CLI ``solve``
+    to, so it runs at abs_tol = rel_tol = _HANDOFF**2 (or the caller's, if
+    looser) and only until the residual is _HANDOFF times its initial norm
+    (or residual_tol, if that is larger).  The Newton polish to the caller's
+    residual_tol then replaces the flow's digits quadratically; unlike a
+    basin scan's t_conv, they are never output.  On any miss (that run
+    ending non-converged, residual_tol not reached) the full flow runs from
+    ``start`` at ``opts``, followed by the same polish, so the answer and
+    any FlowFailure are those of the full flow.  CLI ``solve``
     still reports the full-tolerance trajectory.
     """
     opts = opts or FlowOptions()
     x0 = as_vector(start, m.dim)
     target = as_vector(target, m.dim)
-    near = replace(opts, abs_tol=max(opts.abs_tol, SCAN_OPTIONS.abs_tol),
-                   rel_tol=max(opts.rel_tol, SCAN_OPTIONS.rel_tol))
+    near = replace(opts, abs_tol=max(opts.abs_tol, _HANDOFF**2),
+                   rel_tol=max(opts.rel_tol, _HANDOFF**2))
     handoff = _HANDOFF * _norm(m.eval(x0) - target)
     # an overflowed initial residual (inf) leaves the stop test as it is
     if opts.residual_tol < handoff < math.inf:

@@ -338,15 +338,16 @@ def test_solve_inverse_agrees_with_the_full_flow(key, dim):
         np.testing.assert_allclose(x, _full_flow_solve(m, target, start), rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize("box", [2.0, 4.0])
 @pytest.mark.parametrize("m", [CUBE, COMPLEX_EXP, FOLD], ids=lambda m: m.name)
-def test_handoff_keeps_the_preimage_of_the_full_flow(m):
+def test_handoff_keeps_the_preimage_of_the_full_flow(m, box):
     # on non-injective maps the flow picks the preimage its path leads to;
     # handing off to Newton early must not jump to another one
     rng = np.random.default_rng(42)
     both = 0
     for _ in range(67):
-        start = rng.uniform(-2.0, 2.0, 2)
-        target = m.eval(rng.uniform(-2.0, 2.0, 2))
+        start = rng.uniform(-box, box, 2)
+        target = m.eval(rng.uniform(-box, box, 2))
         try:
             full = _full_flow_solve(m, target, start)
             x = solve_inverse(m, target, start)
@@ -442,19 +443,20 @@ def _jacobian_calls(solve, targets):
     return len(calls)
 
 
-def test_handoff_approach_at_scan_tolerance_does_a_fifth_of_the_work():
-    # the approach only has to reach the basin: at SCAN_OPTIONS it costs a
-    # fraction of the precise path (measured 0.11; 0.42 with it at 1e-10)
+def test_handoff_approach_at_handoff_squared_does_under_a_tenth_of_the_work():
+    # the approach only has to reach the basin: at _HANDOFF**2 it costs a
+    # fraction of the precise path (measured 0.072; 0.11 at SCAN_OPTIONS,
+    # 0.42 at 1e-10)
     rng = np.random.default_rng(43)
     targets = [ZAMP.eval(x) for x in rng.uniform(-3.0, 3.0, (20, 2))]
     work = [_jacobian_calls(solve, targets) for solve in (solve_inverse, _full_flow_solve)]
-    assert work[0] <= 0.2 * work[1], work
+    assert work[0] <= 0.09 * work[1], work
 
 
 @pytest.mark.parametrize("tols, approach", [
-    ((1e-10, 1e-10), (1e-6, 1e-6)),
+    ((1e-10, 1e-10), (1e-4, 1e-4)),
     ((1e-3, 1e-3), (1e-3, 1e-3)),
-    ((1e-3, 1e-8), (1e-3, 1e-6)),
+    ((1e-3, 1e-8), (1e-3, 1e-4)),
 ])
 def test_handoff_approach_keeps_looser_caller_tolerances(monkeypatch, tols, approach):
     import newtonflow.flow as flow_mod
