@@ -294,6 +294,7 @@ def integrate(
 
     fn = m.fn
     jacf = m.jac_or_fd
+    point = m.point if m.dim == 2 else None
 
     fx = m.eval(x)  # validated once; map errors at the seed raise to the caller
     r = fx - target
@@ -343,6 +344,9 @@ def integrate(
     abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
     blowup_sq = opts.blowup_radius * opts.blowup_radius
     xl = x.tolist()
+    if point is not None:
+        t0, t1 = target.tolist()
+        solve2 = linalg._solve2
     heads = [k[:i] for i in range(7)]  # views: k[:i] without a slice per stage
 
     while True:
@@ -360,14 +364,30 @@ def integrate(
         # and the self-dots below stay numpy calls: they are BLAS kernels
         # with FMA, whose bits a plain float sum does not reproduce.  Every
         # elementwise operation runs on Python floats, which round like
-        # numpy's ufuncs without their per-call cost on n-vectors.
+        # numpy's ufuncs without their per-call cost on n-vectors.  A planar
+        # map with a point form runs the stages unrolled in floats: one point
+        # call gives f and f' at the stage, the residual and the solve stay
+        # floats, and y and r_new become arrays once, after the last stage.
+        # Its values equal fn and jac bit for bit, so both loops step alike.
         sh = sgn * h
         try:
-            for i in range(1, 7):
-                yl = [a + sh * d for a, d in zip(xl, _A_ROWS[i].dot(heads[i]).tolist())]
+            if point is None:
+                for i in range(1, 7):
+                    yl = [a + sh * d for a, d in zip(xl, _A_ROWS[i].dot(heads[i]).tolist())]
+                    y = np.array(yl)
+                    r_new = fn(y) - target
+                    k[i] = solve(jacf(y), [-v for v in r_new.tolist()])
+            else:
+                x0, x1 = xl
+                for i in range(1, 7):
+                    d0, d1 = _A_ROWS[i].dot(heads[i]).tolist()
+                    y0, y1 = x0 + sh * d0, x1 + sh * d1
+                    f0, f1, a00, a01, a10, a11 = point(y0, y1)
+                    r0, r1 = f0 - t0, f1 - t1
+                    k[i] = solve2(a00, a01, a10, a11, -r0, -r1)
+                yl = [y0, y1]
                 y = np.array(yl)
-                r_new = fn(y) - target
-                k[i] = solve(jacf(y), [-v for v in r_new.tolist()])
+                r_new = np.array((r0, r1))
         except SAMPLE_ERRORS as exc:
             last_exc = exc
             last_rejected = True

@@ -140,27 +140,37 @@ def _regular_extremes(a: np.ndarray) -> tuple[float, float]:
     return smax, smin
 
 
+def _solve2(a00: float, a01: float, a10: float, a11: float,
+            b0: float, b1: float) -> tuple[float, float]:
+    """(x0, x1) solving [[a00, a01], [a10, a11]] x = (b0, b1), all Python floats.
+
+    The 2x2 solve of every scalar path: the singularity rule on _extremes2
+    of the four entries (SingularError when it fails), then one row-pivoted
+    elimination step.  Python float arithmetic gives the same IEEE results
+    as numpy scalars, with no intermediate array.
+    """
+    smax, smin = _extremes2(a00, a01, a10, a11)
+    if not _regular(smax, smin):
+        raise SingularError(smax, smin)
+    if _pivot_swaps(a00, a10):
+        return _eliminate(a10, a11, a00, a01, b1, b0)
+    return _eliminate(a00, a01, a10, a11, b0, b1)
+
+
 def _solve_raw(a: np.ndarray, b: list[float]) -> tuple[float, ...] | np.ndarray:
     """Solve A x = b without input validation, for hot loops.
 
     ``b`` is the right-hand side as Python floats (``ndarray.tolist()``).
     Applies the singularity rule first.  Dimensions 1 and 2 run in Python
-    float arithmetic, which gives the same IEEE results as numpy scalars,
-    and return x as a tuple of floats, with no intermediate array: the 2x2
-    rule is applied to _extremes2 of the four entries, and the solve is one
-    row-pivoted elimination step.  Larger systems go through LAPACK and
-    return an array.
+    float arithmetic and return x as a tuple of floats; a 2x2 system is
+    _solve2 of its entries.  Larger systems go through LAPACK and return an
+    array.
     """
     n = a.shape[0]
     if n == 2:
         (a00, a01), (a10, a11) = a.tolist()
-        smax, smin = _extremes2(a00, a01, a10, a11)
-        if not _regular(smax, smin):
-            raise SingularError(smax, smin)
         b0, b1 = b
-        if _pivot_swaps(a00, a10):
-            return _eliminate(a10, a11, a00, a01, b1, b0)
-        return _eliminate(a00, a01, a10, a11, b0, b1)
+        return _solve2(a00, a01, a10, a11, b0, b1)
     if n == 1:
         a00 = a.item()
         if not _regular(abs(a00), abs(a00)):
@@ -175,7 +185,7 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (x, ok).  Where ok[i] holds, x[i] equals
     ``_solve_raw(a[i], b[i].tolist())`` bit for bit: it is _extremes2
-    unscaled, then _regular, _pivot_swaps and _eliminate of the 2x2 path,
+    unscaled, then _regular, _pivot_swaps and _eliminate of _solve2,
     applied elementwise.  ok[i] is False, and x[i] meaningless, when the
     rule fails, when the squared entries leave the band in which _extremes2
     runs unscaled, or when an input or the result is non-finite (where this

@@ -1,11 +1,11 @@
 """C1 maps f: R^n -> R^n with analytic or finite-difference Jacobians.
 
-A C1Map bundles an evaluator, an optional closed-form Jacobian and optional
-row forms of both.  The oracle map zampieri-ex5 also has closed forms of its
-inverse Jacobian, its Newton field toward f(0) and the radial product
-x . F(x), as the plain functions zampieri_inv_jac, zampieri_field and
-zampieri_radial, which the test batteries compare the numerical pipeline
-against.
+A C1Map bundles an evaluator, an optional closed-form Jacobian, optional
+row forms of both and an optional planar point form of the pair.  The
+oracle map zampieri-ex5 also has closed forms of its inverse Jacobian, its
+Newton field toward f(0) and the radial product x . F(x), as the plain
+functions zampieri_inv_jac, zampieri_field and zampieri_radial, which the
+test batteries compare the numerical pipeline against.
 
 The registry is one table of entries; each builds its map from plain
 module-level evaluators, bound to their parameters (a matrix, a
@@ -68,6 +68,14 @@ class C1Map:
     ``fn`` / ``jac`` one by one.  A row form never raises for that; an
     exception it raises propagates like one from any other evaluator.  A map
     without them is evaluated row by row.
+
+    ``point`` is an optional planar point form for the flow's stage loop:
+    ``point(x0, x1)`` returns (f0, f1, a00, a01, a10, a11), f and f' at one
+    point as Python floats, from one call.  Its values must equal ``fn`` and
+    ``jac`` at ``np.array((x0, x1))`` bit for bit, and it must raise where
+    they raise.  ``integrate`` uses it in place of ``fn`` and ``jac`` on a
+    planar map; ``with_perturbed_jacobian`` drops it, so a map whose ``jac``
+    is replaced must drop it too.
     """
 
     name: str
@@ -76,6 +84,7 @@ class C1Map:
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fn_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    point: Optional[Callable[[float, float], tuple[float, ...]]] = None
 
     def _checked(self, fn, x) -> np.ndarray:
         """fn at the validated x.  An OverflowError in fn or a non-finite
@@ -128,11 +137,13 @@ class C1Map:
         return j
 
     def with_perturbed_jacobian(self, eps: float) -> "C1Map":
-        """Fault-injection hook: scale the analytic Jacobian by (1 + eps)."""
+        """Fault-injection hook: scale the analytic Jacobian by (1 + eps).
+        The point form is dropped, so the flow never sees the unscaled f'."""
         if self.jac is None:
             raise ValueError("map has no analytic Jacobian to perturb")
         jac_rows = None if self.jac_rows is None else partial(_scaled_jac, self.jac_rows, 1.0 + eps)
-        return replace(self, jac=partial(_scaled_jac, self.jac, 1.0 + eps), jac_rows=jac_rows)
+        return replace(self, jac=partial(_scaled_jac, self.jac, 1.0 + eps), jac_rows=jac_rows,
+                       point=None)
 
 
 def _scaled_jac(jac, factor, x):
@@ -164,20 +175,28 @@ def fd_jacobian_check(m: C1Map, probes) -> float:
 # end-to-end oracle.
 
 
-# fn and jac run in the flow's hot loop: unpacking with tolist() gives Python
+# A planar built-in states its scalar formula once, as a point form in Python
 # floats, whose arithmetic matches numpy scalars bit for bit at a fraction of
-# the cost.
-def _zampieri_fn(x):
-    xi, eta = x.tolist()
-    c = math.exp(xi) / math.sqrt(1.0 + eta * eta)
-    return np.array((c, c * eta))
+# the cost.  Its fn and jac are the two adapters below, bound to the point
+# form with partial.
+def _point_fn(point, x):
+    return np.array(point(*x.tolist())[:2])
 
 
-def _zampieri_jac(x):
-    xi, eta = x.tolist()
+def _point_jac(point, x):
+    _, _, a00, a01, a10, a11 = point(*x.tolist())
+    return np.array(((a00, a01), (a10, a11)))
+
+
+def _zampieri_point(xi, eta):
+    """f = c (1, eta) and f' = cj [[t, -eta], [eta t, 1]], with t = 1 + eta^2,
+    c = e^xi / sqrt(t) and cj = e^xi / (t sqrt(t)), sharing e^xi and sqrt(t)."""
     t = 1.0 + eta * eta
-    c = math.exp(xi) / (t * math.sqrt(t))
-    return np.array(((c * t, -c * eta), (c * eta * t, c)))
+    s = math.sqrt(t)
+    e = math.exp(xi)
+    c = e / s
+    cj = e / (t * s)
+    return c, c * eta, cj * t, -cj * eta, cj * eta * t, cj
 
 
 # The row forms repeat the scalar expressions elementwise.  The exponential is
@@ -273,16 +292,13 @@ def _linear_jac(a, x):
     return a
 
 
-def _rot_poly_fn(eps, x):
-    """Quarter-turn rotation plus a small odd cubic: (-eta + e*xi^3, xi + e*eta^3)."""
-    xi, eta = x.tolist()
-    return np.array((-eta + eps * xi**3, xi + eps * eta**3))
-
-
-def _rot_poly_jac(eps, x):
-    xi, eta = x.tolist()
-    # det = 1 + 9 e^2 xi^2 eta^2 >= 1: never singular.
-    return np.array(((3.0 * eps * xi * xi, -1.0), (1.0, 3.0 * eps * eta * eta)))
+def _rot_poly_point(eps, xi, eta):
+    """Quarter-turn rotation plus a small odd cubic: f = (-eta + e*xi^3,
+    xi + e*eta^3) and f' = [[3e xi^2, -1], [1, 3e eta^2]], whose determinant
+    1 + 9 e^2 xi^2 eta^2 >= 1 is never singular.  xi**3 raises OverflowError
+    past |xi| ~ 5.6e102, so there jac raises too, as fn does."""
+    return (-eta + eps * xi**3, xi + eps * eta**3,
+            3.0 * eps * xi * xi, -1.0, 1.0, 3.0 * eps * eta * eta)
 
 
 def _build_linear(dim=None, a=None):
@@ -301,7 +317,9 @@ def _build_linear(dim=None, a=None):
 def _build_rot_poly(eps=0.1):
     if not 0.0 < eps < math.inf:  # NaN fails too
         raise ValueError("eps must be positive and finite")
-    return C1Map("rot-poly2d", 2, partial(_rot_poly_fn, eps), partial(_rot_poly_jac, eps))
+    point = partial(_rot_poly_point, eps)
+    return C1Map("rot-poly2d", 2, partial(_point_fn, point), partial(_point_jac, point),
+                 point=point)
 
 
 @dataclass(frozen=True)
@@ -320,8 +338,9 @@ _REGISTRY: dict[str, MapRegistryEntry] = {e.key: e for e in (
         "of R^2, not surjective (first component positive); ships closed-form "
         "inverse Jacobian, Newton field and radial product as oracles",
         "Zampieri (1992), nonsurjective planar example",
-        lambda: C1Map("zampieri-ex5", 2, _zampieri_fn, _zampieri_jac,
-                      fn_rows=_zampieri_fn_rows, jac_rows=_zampieri_jac_rows),
+        lambda: C1Map("zampieri-ex5", 2, partial(_point_fn, _zampieri_point),
+                      partial(_point_jac, _zampieri_point), fn_rows=_zampieri_fn_rows,
+                      jac_rows=_zampieri_jac_rows, point=_zampieri_point),
     ),
     MapRegistryEntry(
         "arctan1d", 1,

@@ -124,8 +124,9 @@ def test_backward_flow_inverts_forward():
 
 
 def _counted(m, calls):
-    """m with its raw fn and jac counting their calls into ``calls``; a map
-    without jac counts its finite-difference evaluations as fn calls."""
+    """m with its raw fn, jac and point form counting their calls into
+    ``calls``; a map without jac counts its finite-difference evaluations as
+    fn calls.  One point call is one evaluation of f and one of f'."""
     def fn(x):
         calls["fn"] += 1
         return m.fn(x)
@@ -134,15 +135,20 @@ def _counted(m, calls):
         calls["jac"] += 1
         return m.jac(x)
 
-    return dataclasses.replace(m, fn=fn, jac=None if m.jac is None else jac)
+    def point(x0, x1):
+        calls["point"] += 1
+        return m.point(x0, x1)
+
+    return dataclasses.replace(m, fn=fn, jac=None if m.jac is None else jac,
+                               point=None if m.point is None else point)
 
 
 def _pinned_runs(maps, rng):
     """sha256 over t, states, residuals, status and steps of 24 runs per map
     (6 seeded (start, target) pairs x forward/backward x a precise and the
-    scan tolerance), with the raw fn and jac calls they made."""
+    scan tolerance), with the raw fn, jac and point calls they made."""
     digest = hashlib.sha256()
-    calls = {"fn": 0, "jac": 0}
+    calls = {"fn": 0, "jac": 0, "point": 0}
     for m in maps:
         m = _counted(m, calls)
         for start, target in rng.uniform(-2.0, 2.0, (6, 2, m.dim)):
@@ -160,11 +166,13 @@ def test_both_time_directions_are_pinned():
     # backward, at a precise and at the scan tolerance: 120 trajectories
     # whose statuses span all five outcomes.  A change to the stepper that
     # moves any t, state, residual, status or step count moves the digest,
-    # and one that does more or less work moves the call counts.
+    # and one that does more or less work moves the call counts.  The planar
+    # maps' stages go through their point forms: fn + point and jac + point
+    # are the 140 590 evaluations of f and of f' that fn and jac made alone.
     maps = [builtin(e.key) for e in registry_entries() if e.dim is not None]
     digest, calls = _pinned_runs(maps, np.random.default_rng(0))
     assert digest == "fe4cc4bf233b862b58ec6510bb3b158eb93cb687d45ff3195c1c8e9fdd38ad30"
-    assert calls == {"fn": 140590, "jac": 140590}
+    assert calls == {"fn": 97896, "jac": 97896, "point": 42694}
 
 
 def test_lapack_solves_are_pinned():
@@ -173,7 +181,7 @@ def test_lapack_solves_are_pinned():
     maps = [builtin("linear", a=a + 3.0 * np.eye(3)) for a in rng.standard_normal((3, 3, 3))]
     assert _pinned_runs(maps, rng) == (
         "5bee70b8d920be9cf80d4dbf5c791f3b9271e60e81e837c746791db533daa785",
-        {"fn": 37254, "jac": 37254})
+        {"fn": 37254, "jac": 37254, "point": 0})
 
 
 def test_finite_difference_jacobians_are_pinned():
@@ -182,7 +190,7 @@ def test_finite_difference_jacobians_are_pinned():
             for key in ("zampieri-ex5", "rot-poly2d", "cubic1d")]
     assert _pinned_runs(maps, np.random.default_rng(2)) == (
         "b6b508481152294355b355d30cdace6e6d5dbd1efc2d8f6834f208a43d229899",
-        {"fn": 267526, "jac": 0})
+        {"fn": 267526, "jac": 0, "point": 0})
 
 
 def _holed_fn(bad, x):
@@ -207,6 +215,12 @@ def _twice_identity(x):
     return 2.0 * np.eye(len(x))
 
 
+def _point_twin(fn, jac, x0, x1):
+    """The point form of a planar (fn, jac): their values at (x0, x1) as floats."""
+    x = np.array((x0, x1))
+    return (*fn(x).tolist(), *jac(x).ravel().tolist())
+
+
 # Each run's status, accepted steps and sha256 prefix of t and states, the
 # same for each bad value, and its fn calls per bad value, recorded before
 # integrate's elementwise arithmetic moved to Python floats.  The bands stop
@@ -228,22 +242,29 @@ _HOLED_RUNS = {
 def test_non_finite_values_are_rejected_steps(form, dim, bad):
     # the flow from x[0] = 1.5 toward the preimage x[0] = -1 crosses the
     # band where fn is NaN or infinite: every step with a stage in it is
-    # rejected, quietly, and no recorded sample is non-finite
+    # rejected, quietly, and no recorded sample is non-finite.  In dim 2 a
+    # twin with a point form takes integrate's planar stage loop, and must
+    # step as the fn/jac loop does.
     fn, jac = ((_holed_fn, _holed_jac) if form == "cubic"
                else (_holed_linear_fn, _twice_identity))
     m = C1Map("holed", dim, partial(fn, bad), jac)
-    calls = {"fn": 0, "jac": 0}
+    maps = [m]
+    if dim == 2:
+        maps.append(dataclasses.replace(m, point=partial(_point_twin, m.fn, jac)))
     start, x_star = np.array((1.5, -0.7))[:dim], np.array((-1.0, 0.8))[:dim]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        traj = integrate(_counted(m, calls), start, m.eval(x_star), FlowOptions())
-    assert np.isfinite(traj.states).all() and np.isfinite(traj.residuals).all()
-    assert not ((0.45 < traj.states[:, 0]) & (traj.states[:, 0] < 0.55)).any()
-    digest = hashlib.sha256(b"".join(a.tobytes() for a in (traj.t, traj.states)))
     status, steps, prefix, fn_calls = _HOLED_RUNS[form, dim]
-    assert traj.status.value == status and traj.steps == steps
-    assert digest.hexdigest()[:16] == prefix
-    assert calls["fn"] == fn_calls[_BAD.index(bad)]
+    for m in maps:
+        calls = {"fn": 0, "jac": 0, "point": 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(_counted(m, calls), start, m.eval(x_star), FlowOptions())
+        assert np.isfinite(traj.states).all() and np.isfinite(traj.residuals).all()
+        assert not ((0.45 < traj.states[:, 0]) & (traj.states[:, 0] < 0.55)).any()
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in (traj.t, traj.states)))
+        assert traj.status.value == status and traj.steps == steps
+        assert digest.hexdigest()[:16] == prefix
+        assert calls["fn"] + calls["point"] == fn_calls[_BAD.index(bad)]
+        assert (calls["point"] > 0) == (m.point is not None)
 
 
 def test_drift_bound_scales_with_tolerance():
@@ -383,6 +404,13 @@ def test_solve_inverse_ill_conditioned_linear_map():
     np.testing.assert_allclose(x, (-99.0, 100.0), rtol=0, atol=1e-9)
 
 
+def _jacobian_spy(calls):
+    """ZAMP recording in ``calls`` each point it evaluates f' at: a jac call
+    or a point call, which evaluates f and f' together."""
+    return dataclasses.replace(ZAMP, jac=lambda x: calls.append(x) or ZAMP.jac(x),
+                               point=lambda *x: calls.append(x) or ZAMP.point(*x))
+
+
 def test_solve_inverse_does_less_integrator_work():
     # a deterministic count in place of a timing gate: the handoff must keep
     # removing the tail of the flow that Newton does in a few iterations
@@ -391,7 +419,7 @@ def test_solve_inverse_does_less_integrator_work():
     work = []
     for solve in (solve_inverse, _full_flow_solve):
         calls = []
-        m = dataclasses.replace(ZAMP, jac=lambda x: calls.append(x) or ZAMP.jac(x))
+        m = _jacobian_spy(calls)
         for target in targets:
             solve(m, target, (0.0, 0.0))
         work.append(len(calls))
@@ -437,7 +465,7 @@ def test_solve_inverse_falls_back_to_the_full_flow(monkeypatch):
 
 def _jacobian_calls(solve, targets):
     calls = []
-    m = dataclasses.replace(ZAMP, jac=lambda x: calls.append(x) or ZAMP.jac(x))
+    m = _jacobian_spy(calls)
     for target in targets:
         solve(m, target, (0.0, 0.0))
     return len(calls)

@@ -204,6 +204,9 @@ def test_maps_survive_pickle_round_trip():
         if m.jac_rows is not None:
             assert back.fn_rows(x[None]).tobytes() == m.fn_rows(x[None]).tobytes()
             assert back.jac_rows(x[None]).tobytes() == m.jac_rows(x[None]).tobytes()
+        assert (back.point is None) == (m.point is None)
+        if m.point is not None:
+            assert np.array(back.point(*x)).tobytes() == np.array(m.point(*x)).tobytes()
 
 
 # edges of the exponential's argument: non-finite, signed zero, the clip
@@ -334,3 +337,46 @@ def test_eval_rows_raises_like_the_row_loop():
     # malformed blocks fail as eval fails on their rows
     assert _raised(lambda: zamp.eval_rows(np.ones((2, 3))))[0] is ValueError
     assert _raised(lambda: zamp.eval_rows([[0.0, np.nan]]))[0] is ValueError
+
+
+def _overflow_or_bytes(call):
+    try:
+        return np.asarray(call(), dtype=float).tobytes()
+    except OverflowError:
+        return OverflowError
+
+
+_POINT_MAPS = [builtin("zampieri-ex5"), builtin("rot-poly2d", eps=0.1),
+               builtin("rot-poly2d", eps=0.3)]
+_POINT_IDS = ["zampieri-ex5", "rot-poly2d-0.1", "rot-poly2d-0.3"]
+
+
+@pytest.mark.parametrize("m", _POINT_MAPS, ids=_POINT_IDS)
+def test_point_form_equals_fn_and_jac_bytes(m):
+    # the point-form contract: f and f' of fn and jac, bit for bit, raising
+    # where they raise (e^xi past its range, xi**3 or eta**3 past 1.8e308)
+    pts = _row_points(4000, seed=41)
+    raised = 0
+    for x in pts:
+        got = _overflow_or_bytes(lambda: m.point(*x.tolist()))
+        want = [_overflow_or_bytes(lambda: m.fn(x)), _overflow_or_bytes(lambda: m.jac(x))]
+        if got is OverflowError:
+            assert want == [OverflowError, OverflowError], x
+            raised += 1
+        else:
+            assert got == b"".join(want), x
+    assert 0 < raised < len(pts) // 2
+
+
+@pytest.mark.parametrize("m", _POINT_MAPS, ids=_POINT_IDS)
+def test_perturbed_maps_drop_the_point_form(m):
+    # the point form's f' is the unperturbed one, so the flow must not use it
+    assert m.point is not None
+    assert m.with_perturbed_jacobian(0.1).point is None
+
+
+def test_maps_without_a_point_form():
+    zamp = builtin("zampieri-ex5")
+    assert C1Map("user", 2, zamp.fn, zamp.jac).point is None
+    assert builtin("linear", dim=2).point is None
+    assert all(builtin(e.key).point is None for e in registry_entries() if e.dim == 1)
