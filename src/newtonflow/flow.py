@@ -167,13 +167,13 @@ def newton_fields(m: C1Map, pts, target):
     ``newton_field(m, block[i], target)`` and fx[i] is f(block[i]) where ok[i]
     holds; ok[i] is False where the field raises one of SAMPLE_ERRORS.
 
-    Planar maps with both row forms compute a block with linalg._solve_rows,
-    whose rows equal the scalar path bit for bit.  Every other row runs
-    the scalar path in row order before its block is yielded, so values,
-    skips and the first exception are those of a per-point loop.  An
-    exception raised by a row form propagates when its block is reached.
+    Planar maps with a point form compute a block from ``m.rows`` and
+    linalg._solve_rows, whose rows equal the scalar path bit for bit.  Every
+    other row runs the scalar path in row order before its block is yielded,
+    so values, skips and the first exception are those of a per-point loop;
+    one the point form raises on rows propagates when its block is reached.
     """
-    batched = m.dim == 2 and m.fn_rows is not None and m.jac_rows is not None
+    batched = m.dim == 2 and m.point is not None
     if batched:
         target = as_vector(target, 2)
     for lo in range(0, len(pts), FIELD_BLOCK):
@@ -193,12 +193,11 @@ def newton_fields(m: C1Map, pts, target):
 
 
 def _field_rows(m: C1Map, block: np.ndarray, target: np.ndarray):
-    """(f, F, ok) for a block of a planar map with row forms: ok marks the
-    rows whose value f and field F the block computed."""
+    """(f, F, ok) for a block of a planar map with a point form, from one
+    ``m.rows`` call: ok marks the rows whose f and F the block computed."""
     block = np.asarray(block, dtype=float)
+    fx, jac = m.rows(block)
     with np.errstate(all="ignore"):
-        fx = np.asarray(m.fn_rows(block), dtype=float)
-        jac = np.asarray(m.jac_rows(block), dtype=float)
         fields, ok = linalg._solve_rows(jac, target - fx)
     ok &= np.isfinite(block).all(axis=1)
     return fx, fields, ok
@@ -365,9 +364,9 @@ def integrate(
         # with FMA, whose bits a plain float sum does not reproduce.  Every
         # elementwise operation runs on Python floats, which round like
         # numpy's ufuncs without their per-call cost on n-vectors.  A planar
-        # map with a point form runs the stages unrolled in floats: one point
-        # call gives f and f' at the stage, the residual and the solve stay
-        # floats, and y and r_new become arrays once, after the last stage.
+        # map with a point form, perturbed or not, runs the stages unrolled in
+        # floats: one point call gives f and f', the residual and the solve
+        # stay floats, and y and r_new become arrays after the last stage.
         # Its values equal fn and jac bit for bit, so both loops step alike.
         sh = sgn * h
         try:

@@ -1,9 +1,9 @@
 """C1 maps f: R^n -> R^n with analytic or finite-difference Jacobians.
 
-A C1Map bundles an evaluator, an optional closed-form Jacobian, optional
-row forms of both and an optional planar point form of the pair.  The
-oracle map zampieri-ex5 also has closed forms of its inverse Jacobian, its
-Newton field toward f(0) and the radial product x . F(x), as the plain
+A C1Map bundles an evaluator, an optional closed-form Jacobian and an
+optional planar point form of the pair, which runs on floats and on rows.
+The oracle map zampieri-ex5 also has closed forms of its inverse Jacobian,
+its Newton field toward f(0) and the radial product x . F(x), as the plain
 functions zampieri_inv_jac, zampieri_field and zampieri_radial, which the
 test batteries compare the numerical pipeline against.
 
@@ -52,6 +52,30 @@ class UnknownMapError(KeyError):
     """Registry lookup failed."""
 
 
+# The exponential on rows is math.exp: np.exp differs from it in the last bit
+# on 4.6% of inputs (numpy 2.4.6, AVX-512).  map() runs it over the row in one
+# C-level pass; the row is clipped to _EXP_MAX first, so math.exp never raises,
+# and rows above it or NaN get inf, as math.exp's overflow would.
+_EXP_MAX = math.log(np.finfo(float).max)
+
+
+def _exp_rows(v):
+    e = np.fromiter(map(math.exp, np.minimum(v, _EXP_MAX).tolist()), float, len(v))
+    e[~(v <= _EXP_MAX)] = math.inf
+    return e
+
+
+# A point form's functions on floats and on rows, as class attributes (a lookup
+# costs what math.exp's does).  A row op equals its float op bit for bit where
+# that is finite, else gives inf or NaN; np.power would not round like **.
+class FLOAT_OPS:
+    exp, sqrt, pow = math.exp, math.sqrt, pow
+
+
+class ROW_OPS:
+    exp, sqrt, pow = staticmethod(_exp_rows), np.sqrt, np.float_power
+
+
 @dataclass(frozen=True)
 class C1Map:
     """An evaluatable C1 map with Jacobian access.
@@ -60,31 +84,19 @@ class C1Map:
     to central finite differences with per-coordinate steps
     h_i = FD_REL_STEP * max(1, |x_i|).
 
-    ``fn_rows`` and ``jac_rows`` are optional row forms of ``fn`` and
-    ``jac`` for sampled checks: they take an (N, dim) block of points and
-    return (N, dim) values and (N, dim, dim) Jacobians.  Row i must equal
-    ``fn(X[i])`` / ``jac(X[i])`` bit for bit wherever that is finite; a row
-    the form cannot compute comes back non-finite, and such rows go through
-    ``fn`` / ``jac`` one by one.  A row form never raises for that; an
-    exception it raises propagates like one from any other evaluator.  A map
-    without them is evaluated row by row.
-
-    ``point`` is an optional planar point form for the flow's stage loop:
-    ``point(x0, x1)`` returns (f0, f1, a00, a01, a10, a11), f and f' at one
-    point as Python floats, from one call.  Its values must equal ``fn`` and
-    ``jac`` at ``np.array((x0, x1))`` bit for bit, and it must raise where
-    they raise.  ``integrate`` uses it in place of ``fn`` and ``jac`` on a
-    planar map; ``with_perturbed_jacobian`` drops it, so a map whose ``jac``
-    is replaced must drop it too.
+    ``point`` is an optional planar point form: ``point(xi, eta, ops=FLOAT_OPS)``
+    returns (f0, f1, a00, a01, a10, a11), f and f', using only arithmetic and
+    ops.exp, ops.sqrt and ops.pow.  On floats it equals ``fn`` and ``jac`` bit
+    for bit and raises where they raise; ``integrate`` steps with it.  With
+    ROW_OPS on a block's columns it gives ``rows`` and ``eval_rows``.  A map
+    whose ``fn`` or ``jac`` is replaced must replace or drop it.
     """
 
     name: str
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fn_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    jac_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    point: Optional[Callable[[float, float], tuple[float, ...]]] = None
+    point: Optional[Callable[..., tuple]] = None
 
     def _checked(self, fn, x) -> np.ndarray:
         """fn at the validated x.  An OverflowError in fn or a non-finite
@@ -102,19 +114,37 @@ class C1Map:
         return self._checked(self.fn, x)
 
     def eval_rows(self, block) -> np.ndarray:
-        """``eval`` of every row of an (N, dim) block, as one (N, dim) array.
-
-        Uses ``fn_rows`` when the map has one.  Without it, or when it yields
-        a non-finite value, the rows go through ``eval`` one by one, so the
-        error raised is that of the first bad row.
-        """
+        """``eval`` of every row of an (N, dim) block, as one (N, dim) array:
+        f of ``rows`` where all of it is finite, else ``eval`` row by row, so
+        the error raised is that of the first bad row."""
         block = np.asarray(block, dtype=float)
         rows_fit = block.ndim == 2 and block.shape[1] == self.dim
-        if self.fn_rows is not None and rows_fit and np.isfinite(block).all():
-            y = np.asarray(self.fn_rows(block), dtype=float)
+        if self.point is not None and self.dim == 2 and rows_fit and np.isfinite(block).all():
+            y = self._point_rows(block)[0]
             if np.isfinite(y).all():
                 return y
         return np.array([self.eval(x) for x in block]).reshape(len(block), self.dim)
+
+    def rows(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f, f') of an (N, 2) block, (N, 2) and (N, 2, 2), from one ``point``
+        call: row i is ``fn``/``jac`` at block[i] where they return finite
+        values, and non-finite in both where they raise (a finite f' row is
+        set to NaN: past rot-poly2d's cube overflow, 3 eps xi^2 is finite)."""
+        f, (a00, a01, a10, a11) = self._point_rows(block)
+        j = np.empty((len(f), 2, 2))
+        j[:, 0, 0], j[:, 0, 1], j[:, 1, 0], j[:, 1, 1] = a00, a01, a10, a11
+        bad = ~np.isfinite(f).all(axis=1)
+        if bad.any():
+            j[bad & np.isfinite(j).all(axis=(1, 2))] = math.nan
+        return f, j
+
+    def _point_rows(self, block: np.ndarray) -> tuple[np.ndarray, list]:
+        """f as an (N, 2) array and the four f' columns, from ``point``."""
+        with np.errstate(all="ignore"):
+            f0, f1, *jac = self.point(block[:, 0], block[:, 1], ROW_OPS)
+        f = np.empty((len(block), 2))
+        f[:, 0], f[:, 1] = f0, f1
+        return f, jac
 
     @property
     def jac_or_fd(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -137,17 +167,22 @@ class C1Map:
         return j
 
     def with_perturbed_jacobian(self, eps: float) -> "C1Map":
-        """Fault-injection hook: scale the analytic Jacobian by (1 + eps).
-        The point form is dropped, so the flow never sees the unscaled f'."""
+        """Fault-injection hook: scale the analytic Jacobian, and the point
+        form's f', by (1 + eps)."""
         if self.jac is None:
             raise ValueError("map has no analytic Jacobian to perturb")
-        jac_rows = None if self.jac_rows is None else partial(_scaled_jac, self.jac_rows, 1.0 + eps)
-        return replace(self, jac=partial(_scaled_jac, self.jac, 1.0 + eps), jac_rows=jac_rows,
-                       point=None)
+        factor = 1.0 + eps
+        point = None if self.point is None else partial(_scaled_point, self.point, factor)
+        return replace(self, jac=partial(_scaled_jac, self.jac, factor), point=point)
 
 
 def _scaled_jac(jac, factor, x):
     return factor * np.asarray(jac(x), dtype=float)
+
+
+def _scaled_point(point, factor, xi, eta, ops=FLOAT_OPS):
+    f0, f1, a00, a01, a10, a11 = point(xi, eta, ops)
+    return f0, f1, factor * a00, factor * a01, factor * a10, factor * a11
 
 
 def fd_jacobian_check(m: C1Map, probes) -> float:
@@ -175,10 +210,9 @@ def fd_jacobian_check(m: C1Map, probes) -> float:
 # end-to-end oracle.
 
 
-# A planar built-in states its scalar formula once, as a point form in Python
-# floats, whose arithmetic matches numpy scalars bit for bit at a fraction of
-# the cost.  Its fn and jac are the two adapters below, bound to the point
-# form with partial.
+# A planar built-in states its formula once, as a point form; Python floats
+# round like numpy's ufuncs, so it has the same bits on floats and on rows.
+# Its fn and jac are the two adapters below, bound to it with partial.
 def _point_fn(point, x):
     return np.array(point(*x.tolist())[:2])
 
@@ -188,52 +222,23 @@ def _point_jac(point, x):
     return np.array(((a00, a01), (a10, a11)))
 
 
-def _zampieri_point(xi, eta):
+def _planar(name, form):
+    return C1Map(name, 2, partial(_point_fn, form), partial(_point_jac, form), point=form)
+
+
+def _zampieri(xi, eta, ops=FLOAT_OPS):
     """f = c (1, eta) and f' = cj [[t, -eta], [eta t, 1]], with t = 1 + eta^2,
     c = e^xi / sqrt(t) and cj = e^xi / (t sqrt(t)), sharing e^xi and sqrt(t)."""
     t = 1.0 + eta * eta
-    s = math.sqrt(t)
-    e = math.exp(xi)
+    s = ops.sqrt(t)
+    e = ops.exp(xi)
     c = e / s
     cj = e / (t * s)
     return c, c * eta, cj * t, -cj * eta, cj * eta * t, cj
 
 
-# The row forms repeat the scalar expressions elementwise.  The exponential is
-# math.exp, because np.exp differs from it in the last bit on 4.6% of inputs
-# (numpy 2.4.6, AVX-512).  map() runs it over the row in one C-level pass,
-# with no Python frame per element; the row is clipped to _EXP_MAX first, so
-# math.exp never raises, and rows above it or NaN get inf, as math.exp's
-# overflow would.
-_EXP_MAX = math.log(np.finfo(float).max)
-
-
-def _exp_rows(v):
-    e = np.fromiter(map(math.exp, np.minimum(v, _EXP_MAX).tolist()), float, len(v))
-    e[~(v <= _EXP_MAX)] = math.inf
-    return e
-
-
-def _zampieri_fn_rows(x):
-    xi, eta = x[:, 0], x[:, 1]
-    with np.errstate(all="ignore"):
-        c = _exp_rows(xi) / np.sqrt(1.0 + eta * eta)
-        return np.stack((c, c * eta), axis=1)
-
-
-def _zampieri_jac_rows(x):
-    xi, eta = x[:, 0], x[:, 1]
-    j = np.empty((len(x), 2, 2))
-    with np.errstate(all="ignore"):
-        t = 1.0 + eta * eta
-        c = _exp_rows(xi) / (t * np.sqrt(t))
-        j[:, 0, 0] = c * t
-        j[:, 0, 1] = -c * eta
-        j[:, 1, 0] = c * eta * t
-        j[:, 1, 1] = c
-    return j
-
-
+# The oracles are closed forms of their own, not built on _zampieri: the tests
+# check the pipeline against them, which would be circular otherwise.
 def zampieri_inv_jac(x):
     """zampieri-ex5's inverse Jacobian f'(x)^{-1}."""
     xi, eta = x
@@ -292,12 +297,12 @@ def _linear_jac(a, x):
     return a
 
 
-def _rot_poly_point(eps, xi, eta):
+def _rot_poly(eps, xi, eta, ops=FLOAT_OPS):
     """Quarter-turn rotation plus a small odd cubic: f = (-eta + e*xi^3,
     xi + e*eta^3) and f' = [[3e xi^2, -1], [1, 3e eta^2]], whose determinant
-    1 + 9 e^2 xi^2 eta^2 >= 1 is never singular.  xi**3 raises OverflowError
-    past |xi| ~ 5.6e102, so there jac raises too, as fn does."""
-    return (-eta + eps * xi**3, xi + eps * eta**3,
+    1 + 9 e^2 xi^2 eta^2 >= 1 is never singular.  A float cube raises
+    OverflowError past |xi| ~ 5.6e102, so there jac raises too, as fn does."""
+    return (-eta + eps * ops.pow(xi, 3), xi + eps * ops.pow(eta, 3),
             3.0 * eps * xi * xi, -1.0, 1.0, 3.0 * eps * eta * eta)
 
 
@@ -317,9 +322,7 @@ def _build_linear(dim=None, a=None):
 def _build_rot_poly(eps=0.1):
     if not 0.0 < eps < math.inf:  # NaN fails too
         raise ValueError("eps must be positive and finite")
-    point = partial(_rot_poly_point, eps)
-    return C1Map("rot-poly2d", 2, partial(_point_fn, point), partial(_point_jac, point),
-                 point=point)
+    return _planar("rot-poly2d", partial(_rot_poly, eps))
 
 
 @dataclass(frozen=True)
@@ -338,9 +341,7 @@ _REGISTRY: dict[str, MapRegistryEntry] = {e.key: e for e in (
         "of R^2, not surjective (first component positive); ships closed-form "
         "inverse Jacobian, Newton field and radial product as oracles",
         "Zampieri (1992), nonsurjective planar example",
-        lambda: C1Map("zampieri-ex5", 2, partial(_point_fn, _zampieri_point),
-                      partial(_point_jac, _zampieri_point), fn_rows=_zampieri_fn_rows,
-                      jac_rows=_zampieri_jac_rows, point=_zampieri_point),
+        lambda: _planar("zampieri-ex5", _zampieri),
     ),
     MapRegistryEntry(
         "arctan1d", 1,

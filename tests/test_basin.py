@@ -122,10 +122,10 @@ def test_injectivity_probe_planar_oracle_clean():
 
 
 def test_injectivity_probe_row_form_is_the_point_loop():
-    # the probe evaluates its centers with eval_rows: a map without row forms
-    # goes through eval one point at a time, and the report must not change
+    # the probe evaluates its centers with eval_rows: a map without a point
+    # form goes through eval one point at a time, and the report must not change
     grid = scan_basin(ZAMP, (0.0, 0.0), (-6, 6, -6, 6), 13, workers=1)
-    pointwise = dataclasses.replace(ZAMP, fn_rows=None, jac_rows=None)
+    pointwise = dataclasses.replace(ZAMP, point=None)
     got = [injectivity_probe(grid, m, pairs=5000, seed=2).to_json_dict()
            for m in (ZAMP, pointwise)]
     assert got[0] == got[1]

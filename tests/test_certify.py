@@ -31,7 +31,7 @@ from newtonflow.certify import (
 )
 from newtonflow.cli import _pipeline_deviation
 from newtonflow.flow import FIELD_BLOCK, newton_field
-from newtonflow.maps import C1Map, builtin, zampieri_inv_jac, zampieri_radial
+from newtonflow.maps import FLOAT_OPS, ROW_OPS, C1Map, builtin, zampieri_inv_jac, zampieri_radial
 
 ZAMP = builtin("zampieri-ex5")
 EYE2 = builtin("linear", a=np.eye(2))
@@ -316,7 +316,7 @@ def test_cor22_blocks_equal_the_point_loop(m, c):
 
 @pytest.mark.parametrize("c", [0.0, 0.5])
 def test_cor22_blocks_equal_the_point_loop_in_1d(c):
-    # exp1d has no row forms: every row takes newton_field, and on the golden
+    # exp1d has no point form: every row takes newton_field, and on the golden
     # -800..800 range the left side over- and underflows
     m = builtin("exp1d")
     pts = np.concatenate([np.linspace(-800.0, 800.0, 41)[:, None],
@@ -328,11 +328,17 @@ def test_cor22_blocks_equal_the_point_loop_in_1d(c):
 
 @pytest.mark.parametrize("c", [0.0, 0.5])
 def test_cor22_evaluates_f_once_per_sample(c):
-    # the c-term reads f(x) from the field blocks, which compute it anyway
-    rows = []
-    m = dataclasses.replace(ZAMP, fn_rows=lambda x: rows.append(len(x)) or ZAMP.fn_rows(x))
+    # the c-term reads f(x) from the field blocks, which compute it anyway:
+    # one point-form call on rows per block, and none on floats
+    calls = []
+
+    def point(xi, eta, ops=FLOAT_OPS):
+        calls.append(len(xi) if ops is ROW_OPS else ops)
+        return ZAMP.point(xi, eta, ops)
+
+    m = dataclasses.replace(ZAMP, point=point)
     check_cor22(m, (0, 0), (0, 0), 1.0, 1.0, c, GridSampler(((-5, 5), (-5, 5)), 41))
-    assert sum(rows) == 41 * 41
+    assert calls == [FIELD_BLOCK, 41 * 41 - FIELD_BLOCK]
 
 
 def test_cor22_largest_margin_tied_across_blocks_keeps_the_first():
@@ -723,7 +729,7 @@ def test_bounded_inverse_planar_oracle_cross_check():
 
 
 def _recording(m):
-    """m without row forms, recording every point passed to fn and to jac."""
+    """m without a point form, recording every point passed to fn and to jac."""
     seen = {"fn": [], "jac": []}
 
     def recorded(name, g):

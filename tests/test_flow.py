@@ -26,7 +26,7 @@ from newtonflow.flow import (
     newton_fields,
     solve_inverse,
 )
-from newtonflow.maps import C1Map, builtin, registry_entries, zampieri_field
+from newtonflow.maps import FLOAT_OPS, ROW_OPS, C1Map, builtin, registry_entries, zampieri_field
 
 ZAMP = builtin("zampieri-ex5")
 F_ORIGIN = (1.0, 0.0)  # f(0,0) for the planar oracle map
@@ -731,37 +731,31 @@ def _reciprocal_jac(x):
     return np.array(((-1.0 / (xi * xi), 0.0), (0.0, 1.0)))
 
 
-def _reciprocal_fn_rows(x):
-    return np.stack((1.0 / x[:, 0], x[:, 1]), axis=1)   # inf at xi == 0
+def _reciprocal_point(xi, eta, ops=FLOAT_OPS):
+    # ZeroDivisionError at xi == 0 on floats, inf on rows
+    return 1.0 / xi, eta, -1.0 / (xi * xi), 0.0, 0.0, 1.0
 
 
-def _reciprocal_jac_rows(x):
-    j = np.zeros((len(x), 2, 2))
-    j[:, 0, 0] = -1.0 / (x[:, 0] * x[:, 0])
-    j[:, 1, 1] = 1.0
-    return j
-
-
-# (1/xi, eta) with row forms: a planar map whose evaluator raises an error
+# (1/xi, eta) with a point form: a planar map whose evaluator raises an error
 # that is not a sample error
-RECIPROCAL = C1Map("reciprocal", 2, _reciprocal_fn, _reciprocal_jac,
-                   fn_rows=_reciprocal_fn_rows, jac_rows=_reciprocal_jac_rows)
+RECIPROCAL = C1Map("reciprocal", 2, _reciprocal_fn, _reciprocal_jac, point=_reciprocal_point)
 
 
-def _raising_rows(x):
-    raise RuntimeError("row form failed")
+def _raising_on_rows(xi, eta, ops=FLOAT_OPS):
+    if ops is ROW_OPS:
+        raise RuntimeError("row form failed")
+    return ZAMP.point(xi, eta, ops)
 
 
 def test_a_raising_row_form_propagates():
-    # the row-form contract has no fallback for a form that raises: the
-    # exception reaches the caller, as one from fn or jac would
+    # the point form on rows has no fallback when it raises: the exception
+    # reaches the caller, as one from fn or jac would
     pts = np.random.default_rng(35).uniform(-2.0, 2.0, (10, 2))
-    for m in (dataclasses.replace(ZAMP, fn_rows=_raising_rows),
-              dataclasses.replace(ZAMP, jac_rows=_raising_rows)):
-        with pytest.raises(RuntimeError, match="row form failed"):
-            list(newton_fields(m, pts, F_ORIGIN))
+    m = dataclasses.replace(ZAMP, point=_raising_on_rows)
     with pytest.raises(RuntimeError, match="row form failed"):
-        dataclasses.replace(ZAMP, fn_rows=_raising_rows).eval_rows(pts)
+        list(newton_fields(m, pts, F_ORIGIN))
+    with pytest.raises(RuntimeError, match="row form failed"):
+        m.eval_rows(pts)
 
 
 def test_newton_fields_raise_where_the_point_loop_raises():

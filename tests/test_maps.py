@@ -7,6 +7,8 @@ import pytest
 from newtonflow import maps
 from newtonflow.maps import (
     _EXP_MAX,
+    FLOAT_OPS,
+    ROW_OPS,
     C1Map,
     NonFiniteError,
     UnknownMapError,
@@ -201,12 +203,11 @@ def test_maps_survive_pickle_round_trip():
         assert back.name == m.name
         assert back.eval(x).tobytes() == m.eval(x).tobytes()
         assert back.jacobian(x).tobytes() == m.jacobian(x).tobytes()
-        if m.jac_rows is not None:
-            assert back.fn_rows(x[None]).tobytes() == m.fn_rows(x[None]).tobytes()
-            assert back.jac_rows(x[None]).tobytes() == m.jac_rows(x[None]).tobytes()
         assert (back.point is None) == (m.point is None)
         if m.point is not None:
             assert np.array(back.point(*x)).tobytes() == np.array(m.point(*x)).tobytes()
+            for got, want in zip(back.rows(x[None]), m.rows(x[None])):
+                assert got.tobytes() == want.tobytes()
 
 
 # edges of the exponential's argument: non-finite, signed zero, the clip
@@ -229,14 +230,21 @@ def _row_points(n, seed):
     return pts
 
 
+# rot-poly2d's band 5.6e102 < |xi| < 1.3e154, where the cube overflows and
+# fn and jac raise, but 3 eps xi^2 is finite
+_CUBE_BAND = np.array([(1e120, 1.0), (1.0, -1e120), (1e103, 2.0)])
+
+
 @pytest.mark.parametrize("m", [
     builtin("zampieri-ex5"),
     builtin("zampieri-ex5").with_perturbed_jacobian(1e-3),
-], ids=["zampieri-ex5", "perturbed"])
+    builtin("rot-poly2d", eps=0.1),
+    builtin("rot-poly2d", eps=0.3),
+    builtin("rot-poly2d").with_perturbed_jacobian(1e-3),
+], ids=["zampieri-ex5", "perturbed", "rot-poly2d-0.1", "rot-poly2d-0.3", "perturbed-rot-poly2d"])
 def test_row_forms_equal_scalar_bytes(m):
-    pts = _row_points(4000, seed=41)
-    with np.errstate(over="ignore"):   # the perturbation past e^{_EXP_MAX}
-        fy, jy = m.fn_rows(pts), m.jac_rows(pts)
+    pts = np.concatenate((_row_points(4000, seed=41), _CUBE_BAND))
+    fy, jy = m.rows(pts)
     assert fy.shape == (len(pts), 2) and jy.shape == (len(pts), 2, 2)
     finite = 0
     for i, x in enumerate(pts):
@@ -254,6 +262,12 @@ def test_row_forms_equal_scalar_bytes(m):
             assert rows[i].tobytes() == ref.tobytes(), x
             finite += 1
     assert finite > len(pts)
+    if m.name == "rot-poly2d":
+        for x, f, j in zip(_CUBE_BAND, fy[-len(_CUBE_BAND):], jy[-len(_CUBE_BAND):]):
+            assert not np.isfinite(f).all() and not np.isfinite(j).all(), x
+            for one in (m.fn, m.jac):
+                with pytest.raises(OverflowError):
+                    one(x)
 
 
 def _radial_point(x):
@@ -288,15 +302,41 @@ def _exp_rows_per_element(v):
     return np.array([math.exp(s) if s <= _EXP_MAX else math.inf for s in v.tolist()])
 
 
+def _cube_per_element(v):
+    # Python's float ** per element, inf of the sign where it overflows: the
+    # reference for ROW_OPS.pow
+    out = []
+    for s in v.tolist():
+        try:
+            out.append(s ** 3)
+        except OverflowError:
+            out.append(math.copysign(math.inf, s))
+    return np.array(out)
+
+
 def test_exp_rows_equal_the_per_element_formulation(monkeypatch):
     pts = _row_points(4000, seed=43)
     pts[::9, 0] = -pts[::9, 0]
     edges = np.concatenate((_EXP_EDGES, np.linspace(-745.5, -707.5, 400)))
     assert maps._exp_rows(edges).tobytes() == _exp_rows_per_element(edges).tobytes()
+    # the cube's edges: the overflow threshold and its neighbours, the band
+    # above, subnormals, non-finite values and magnitudes 1e-320..1e102
+    top = np.cbrt(np.finfo(float).max)
+    cubes = np.concatenate((_EXP_EDGES, _CUBE_BAND.ravel(),
+                            top * (1.0 + np.linspace(-1e-14, 1e-14, 81)),
+                            [1e103, 10.0, 5e-324, 2.2e-308, 1e-310],
+                            10.0 ** np.random.default_rng(44).uniform(-320.0, 102.0, 4000)))
+    cubes = np.concatenate((cubes, -cubes))
+    with np.errstate(over="ignore"):
+        got, want = ROW_OPS.pow(cubes, 3), _cube_per_element(cubes)
+    # float ** keeps the sign of a NaN base, np.float_power drops it
+    nan = np.isnan(cubes)
+    assert got[~nan].tobytes() == want[~nan].tobytes() and np.isnan(got[nan]).all()
     m = builtin("zampieri-ex5")
-    forms = (m.fn_rows, m.jac_rows, zampieri_radial)
+    forms = (lambda p: m.rows(p)[0], lambda p: m.rows(p)[1], zampieri_radial)
     got = [form(pts).tobytes() for form in forms]
     monkeypatch.setattr(maps, "_exp_rows", _exp_rows_per_element)
+    monkeypatch.setattr(ROW_OPS, "exp", staticmethod(_exp_rows_per_element))
     assert got == [form(pts).tobytes() for form in forms]
 
 
@@ -320,14 +360,19 @@ def _raised(call):
     return None
 
 
+def _exp_pair(xi, eta, ops=FLOAT_OPS):
+    # (e^xi, eta): on floats e^800 raises OverflowError, on rows it is inf
+    e = ops.exp(xi)
+    return e, eta, e, 0.0, 0.0, 1.0
+
+
 def test_eval_rows_raises_like_the_row_loop():
-    # np.exp in both forms, so the rows are bit-equal: 800 and 900 overflow
-    m = C1Map("exp-rows", 1, lambda x: np.exp(x), fn_rows=lambda xs: np.exp(xs))
-    block = np.array([[0.0], [1.0], [800.0], [900.0]])
-    with np.errstate(over="ignore"):
-        got = _raised(lambda: m.eval_rows(block))
-        assert got == _raised(lambda: _row_loop(m, block))
-    assert got == (NonFiniteError, "map 'exp-rows' produced non-finite values at [800.0]")
+    # a user point form whose rows overflow through ops.exp at 800 and 900
+    m = C1Map("exp-rows", 2, lambda x: np.array(_exp_pair(*x.tolist())[:2]), point=_exp_pair)
+    block = np.array([[0.0, 1.0], [1.0, 2.0], [800.0, 3.0], [900.0, 4.0]])
+    got = _raised(lambda: m.eval_rows(block))
+    assert got == _raised(lambda: _row_loop(m, block))
+    assert got == (NonFiniteError, "map 'exp-rows' produced non-finite values at [800.0, 3.0]")
     # past its range zampieri's math.exp raises OverflowError, which eval turns
     # into NonFiniteError, and so does eval_rows
     zamp = builtin("zampieri-ex5")
@@ -351,15 +396,15 @@ _POINT_MAPS = [builtin("zampieri-ex5"), builtin("rot-poly2d", eps=0.1),
 _POINT_IDS = ["zampieri-ex5", "rot-poly2d-0.1", "rot-poly2d-0.3"]
 
 
-@pytest.mark.parametrize("m", _POINT_MAPS, ids=_POINT_IDS)
-def test_point_form_equals_fn_and_jac_bytes(m):
+def _assert_point_is_fn_and_jac(m):
     # the point-form contract: f and f' of fn and jac, bit for bit, raising
     # where they raise (e^xi past its range, xi**3 or eta**3 past 1.8e308)
     pts = _row_points(4000, seed=41)
     raised = 0
     for x in pts:
         got = _overflow_or_bytes(lambda: m.point(*x.tolist()))
-        want = [_overflow_or_bytes(lambda: m.fn(x)), _overflow_or_bytes(lambda: m.jac(x))]
+        with np.errstate(all="ignore"):   # a perturbation scaling inf or past max
+            want = [_overflow_or_bytes(lambda: m.fn(x)), _overflow_or_bytes(lambda: m.jac(x))]
         if got is OverflowError:
             assert want == [OverflowError, OverflowError], x
             raised += 1
@@ -369,10 +414,16 @@ def test_point_form_equals_fn_and_jac_bytes(m):
 
 
 @pytest.mark.parametrize("m", _POINT_MAPS, ids=_POINT_IDS)
-def test_perturbed_maps_drop_the_point_form(m):
-    # the point form's f' is the unperturbed one, so the flow must not use it
-    assert m.point is not None
-    assert m.with_perturbed_jacobian(0.1).point is None
+def test_point_form_equals_fn_and_jac_bytes(m):
+    _assert_point_is_fn_and_jac(m)
+
+
+@pytest.mark.parametrize("eps", [1e-3, -1.0])
+@pytest.mark.parametrize("m", _POINT_MAPS, ids=_POINT_IDS)
+def test_perturbed_maps_scale_the_point_form(m, eps):
+    # a perturbed map keeps its point form, with f' scaled as jac is, so the
+    # flow steps with the perturbed f'
+    _assert_point_is_fn_and_jac(m.with_perturbed_jacobian(eps))
 
 
 def test_maps_without_a_point_form():
