@@ -43,7 +43,11 @@ class BasinGrid:
 
     Cell (i, j) covers the rectangle around center ``(cx[i], cy[j])``; seeds
     are centers, not corners, so an odd resolution over a symmetric box puts
-    x0's cell exactly on x0.  ``t_conv`` is NaN for non-converged cells.
+    x0's cell exactly on x0.  ``t_conv`` is the flow time at which a
+    converged cell's residual reaches residual_tol by the decay identity,
+    ln(||r(0)|| / residual_tol) (0 for a cell that starts within it), and
+    NaN for non-converged cells; ``final_residual`` is where the stepper
+    stopped.
     """
 
     box: tuple[float, float, float, float]
@@ -94,8 +98,17 @@ class BasinGrid:
 
 
 def _scan_cell(m: C1Map, center, target, opts: FlowOptions):
+    """(status, t_conv, final residual) of one cell's forward flow.
+
+    Along the exact flow ||r(t)|| = e^{-t} ||r(0)||, so a converged cell's
+    t_conv is the time ln(||r(0)|| / residual_tol) at which the flow itself
+    reaches residual_tol, not the end of the step that crossed it.
+    """
     traj = integrate(m, center, target, opts, Direction.FORWARD)
-    t_conv = traj.t_final if traj.status is FlowStatus.CONVERGED else math.nan
+    if traj.status is not FlowStatus.CONVERGED:
+        return traj.status, math.nan, traj.final_residual_norm
+    r0 = float(np.linalg.norm(traj.residuals[0]))
+    t_conv = math.log(r0 / opts.residual_tol) if r0 > opts.residual_tol else 0.0
     return traj.status, t_conv, traj.final_residual_norm
 
 

@@ -216,8 +216,8 @@ _FIELDS = {
         ("probe", "0", "injectivity probe pairs (0 = off)", int),
         ("grid-out", "", "write the per-cell grid here", str),
     ] + [
-        # scans run at the looser scan tolerances
-        (name, "1e-6" if name in ("abs-tol", "rel-tol") else default, help_text, parse)
+        # scans run at the path tolerance, flow.SCAN_OPTIONS
+        (name, "1e-4" if name in ("abs-tol", "rel-tol") else default, help_text, parse)
         for name, default, help_text, parse in _FLOW_FIELDS
     ] + _COMMON,
     "verify-ex5": [

@@ -68,13 +68,6 @@ class FlowOptions:
             raise ValueError("max_steps must be positive")
 
 
-# The basin scans' tolerance: runs that decide where the flow goes, not
-# the digits of where it ends.  It trades digits nobody reads for a ~4x
-# faster run, but keeps t_conv, which a scan outputs, to about 1e-6 (the
-# approach leg of solve_inverse, whose digits Newton replaces, runs looser).
-SCAN_OPTIONS = FlowOptions(abs_tol=1e-6, rel_tol=1e-6)
-
-
 class FlowFailure(Exception):
     """solve_inverse could not reach the target; wraps the trajectory."""
 
@@ -264,9 +257,16 @@ _EPS = float(np.finfo(float).eps)
 # _HANDOFF**2: the decay oracle (10*rel_tol of the residual per step) then
 # checks every step to a tenth of the share at which it hands off.  That
 # takes a sixth of the accepted steps the default 1e-10 takes (3856 against
-# 23920 over perfbench's solve-batch, seed 5; 6042 at SCAN_OPTIONS).
+# 23920 over perfbench's solve-batch, seed 5; 6042 at 1e-6).
 _HANDOFF = 1e-2
 _POLISH_STEPS = 8  # most Newton steps of one _newton_polish
+
+# The path tolerance: runs that decide where the flow goes, not the digits
+# of where it ends.  Basin scans run at it, and solve_inverse's approach leg
+# runs at it or looser.  Neither outputs the stepper's digits: Newton
+# replaces the approach leg's, and a scan's t_conv comes from the decay
+# identity, not from the step at which the run stopped.
+SCAN_OPTIONS = FlowOptions(abs_tol=_HANDOFF**2, rel_tol=_HANDOFF**2)
 
 
 @np.errstate(all="ignore")
@@ -499,21 +499,20 @@ def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> n
     Returns x with ||f(x) - y*|| <= residual_tol.  Raises FlowFailure
     (carrying the trajectory) if the flow ends in any non-converged status.
     The flow only has to carry x into the basin of the preimage it leads
-    to, so it runs at abs_tol = rel_tol = _HANDOFF**2 (or the caller's, if
+    to, so it runs at the path tolerance SCAN_OPTIONS (or the caller's, if
     looser) and only until the residual is _HANDOFF times its initial norm
     (or residual_tol, if that is larger).  The Newton polish to the caller's
-    residual_tol then replaces the flow's digits quadratically; unlike a
-    basin scan's t_conv, they are never output.  On any miss (that run
-    ending non-converged, residual_tol not reached) the full flow runs from
-    ``start`` at ``opts``, followed by the same polish, so the answer and
-    any FlowFailure are those of the full flow.  CLI ``solve``
-    still reports the full-tolerance trajectory.
+    residual_tol then replaces the flow's digits quadratically; they are
+    never output.  On any miss (that run ending non-converged, residual_tol
+    not reached) the full flow runs from ``start`` at ``opts``, followed by
+    the same polish, so the answer and any FlowFailure are those of the full
+    flow.  CLI ``solve`` still reports the full-tolerance trajectory.
     """
     opts = opts or FlowOptions()
     x0 = as_vector(start, m.dim)
     target = as_vector(target, m.dim)
-    near = replace(opts, abs_tol=max(opts.abs_tol, _HANDOFF**2),
-                   rel_tol=max(opts.rel_tol, _HANDOFF**2))
+    near = replace(opts, abs_tol=max(opts.abs_tol, SCAN_OPTIONS.abs_tol),
+                   rel_tol=max(opts.rel_tol, SCAN_OPTIONS.rel_tol))
     handoff = _HANDOFF * _norm(m.eval(x0) - target)
     # an overflowed initial residual (inf) leaves the stop test as it is
     if opts.residual_tol < handoff < math.inf:

@@ -145,14 +145,14 @@ def _counted(m, calls):
 
 def _pinned_runs(maps, rng):
     """sha256 over t, states, residuals, status and steps of 24 runs per map
-    (6 seeded (start, target) pairs x forward/backward x a precise and the
-    scan tolerance), with the raw fn, jac and point calls they made."""
+    (6 seeded (start, target) pairs x forward/backward x a precise and a
+    1e-6 tolerance), with the raw fn, jac and point calls they made."""
     digest = hashlib.sha256()
     calls = {"fn": 0, "jac": 0, "point": 0}
     for m in maps:
         m = _counted(m, calls)
         for start, target in rng.uniform(-2.0, 2.0, (6, 2, m.dim)):
-            for opts in (FlowOptions(t_max=3.0), SCAN_OPTIONS):
+            for opts in (FlowOptions(t_max=3.0), FlowOptions(abs_tol=1e-6, rel_tol=1e-6)):
                 for direction in Direction:
                     traj = integrate(m, start, target, opts, direction)
                     for a in (traj.t, traj.states, traj.residuals):
@@ -163,7 +163,7 @@ def _pinned_runs(maps, rng):
 
 def test_both_time_directions_are_pinned():
     # bit-exact runs of every fixed-dimension built-in map, forward and
-    # backward, at a precise and at the scan tolerance: 120 trajectories
+    # backward, at a precise and at a 1e-6 tolerance: 120 trajectories
     # whose statuses span all five outcomes.  A change to the stepper that
     # moves any t, state, residual, status or step count moves the digest,
     # and one that does more or less work moves the call counts.  The planar
@@ -379,6 +379,32 @@ def test_handoff_keeps_the_preimage_of_the_full_flow(m, box):
     assert both >= 60
 
 
+@pytest.mark.parametrize("m, x0, box, preimages", [
+    (FOLD, (1.0, 0.0), (-2.0, 2.3, -2.0, 2.0), 2),
+    (COMPLEX_EXP, (0.0, 0.0), (-1.0, 1.0, -7.0, 7.0), 3),
+    (CUBE, (1.0, 0.5), (-2.0, 2.0, -2.0, 2.0), 3),
+], ids=["fold", "complex-exp", "z-cubed"])
+def test_scan_tolerance_keeps_the_precise_preimage(m, x0, box, preimages):
+    # basin scans run at the path tolerance SCAN_OPTIONS: on an 11x11 grid of
+    # cell centers, every cell the precise flow brings to a preimage of f(x0)
+    # must reach the same preimage at SCAN_OPTIONS
+    target = m.eval(x0)
+    xs, ys = ((lo + (np.arange(11) + 0.5) * (hi - lo) / 11) for lo, hi in (box[:2], box[2:]))
+    ends = []
+    for center in ((x, y) for x in xs for y in ys):
+        precise = integrate(m, center, target, FlowOptions())
+        if precise.status is not FlowStatus.CONVERGED:
+            continue
+        scan = integrate(m, center, target, SCAN_OPTIONS)
+        assert scan.status is FlowStatus.CONVERGED, center
+        end = precise.final_state
+        np.testing.assert_allclose(scan.final_state, end, rtol=0,
+                                   atol=1e-6 * (1.0 + np.linalg.norm(end)), err_msg=str(center))
+        if all(np.linalg.norm(end - e) > 1e-3 for e in ends):
+            ends.append(end)
+    assert len(ends) == preimages, ends
+
+
 @pytest.mark.parametrize("key, start, target, status", [
     ("arctan1d", (0.0,), (2.0,), FlowStatus.BLOWUP),
     ("exp1d", (0.0,), (-1.0,), FlowStatus.STEP_FAILURE),
@@ -473,8 +499,8 @@ def _jacobian_calls(solve, targets):
 
 def test_handoff_approach_at_handoff_squared_does_under_a_tenth_of_the_work():
     # the approach only has to reach the basin: at _HANDOFF**2 it costs a
-    # fraction of the precise path (measured 0.072; 0.11 at SCAN_OPTIONS,
-    # 0.42 at 1e-10)
+    # fraction of the precise path (measured 0.072; 0.11 at 1e-6, 0.42 at
+    # 1e-10)
     rng = np.random.default_rng(43)
     targets = [ZAMP.eval(x) for x in rng.uniform(-3.0, 3.0, (20, 2))]
     work = [_jacobian_calls(solve, targets) for solve in (solve_inverse, _full_flow_solve)]
@@ -502,8 +528,8 @@ def test_handoff_approach_keeps_looser_caller_tolerances(monkeypatch, tols, appr
 
 
 def test_a_failed_handoff_run_is_followed_by_the_full_path(monkeypatch):
-    # at scan tolerance the handoff run is no longer the full run step for
-    # step, so its failure is not the answer: the full path runs and raises
+    # at the path tolerance the handoff run is no longer the full run step
+    # for step, so its failure is not the answer: the full path runs and raises
     seen = _spy_flow_runs(monkeypatch)
     with pytest.raises(FlowFailure) as ei:
         solve_inverse(builtin("arctan1d"), (2.0,), (0.0,))
