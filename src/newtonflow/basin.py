@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +148,10 @@ def scan_basin(
     if workers <= 1 or len(centers) < 64:
         results = list(map(scan, centers))
     else:
+        # imported here: the pool's modules cost every other command start-up
+        # time and memory
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(32, len(centers) // (workers * 16))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(scan, centers, chunksize=chunk))

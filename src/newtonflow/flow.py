@@ -293,15 +293,19 @@ def integrate(
 
     fn = m.fn
     jacf = m.jac_or_fd
-    point = m.point if m.dim == 2 else None
+    dim = m.dim
+    point = m.point if dim <= 2 else None
+    selfdot = _selfdot1 if dim == 1 else _selfdot
 
     fx = m.eval(x)  # validated once; map errors at the seed raise to the caller
     r = fx - target
     rnorm = float(np.linalg.norm(r))
 
+    # states and residuals are kept as lists of floats, one list per sample
+    xl, rl = x.tolist(), r.tolist()
     ts = [0.0]
-    xs = [x.copy()]
-    rs = [r.copy()]
+    xs = [xl]
+    rs = [rl]
 
     def finish(status, steps):
         return Trajectory(
@@ -322,10 +326,10 @@ def integrate(
     # that fails the singularity rule (non-finite entries included) raises
     # SingularError.
     solve = linalg._solve_raw
-    k = np.empty((7, m.dim))
+    k = np.empty((7, dim))
     try:
         # FSAL: each accepted step hands k[6] on to k[0]
-        k[0] = solve(jacf(x), [-v for v in r.tolist()])
+        k[0] = solve(jacf(x), [-v for v in rl])
     except (SingularError, NonFiniteError, OverflowError):
         return finish(FlowStatus.SINGULAR_JACOBIAN, 0)
 
@@ -339,13 +343,11 @@ def integrate(
     err_prev = 1.0
     last_rejected = False
     last_exc: Exception | None = None
-    dim = m.dim
     abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
     blowup_sq = opts.blowup_radius * opts.blowup_radius
-    xl = x.tolist()
     if point is not None:
-        t0, t1 = target.tolist()
-        solve2 = linalg._solve2
+        tl = target.tolist()
+        solve1, solve2 = linalg._solve1, linalg._solve2
     heads = [k[:i] for i in range(7)]  # views: k[:i] without a slice per stage
 
     while True:
@@ -360,33 +362,43 @@ def integrate(
 
         # Stage i is x + (sgn * h) * (A_i @ k[:i]) with k[i] = F; the last
         # stage is x_new.  The step carries the time sign.  The stage sums
-        # and the self-dots below stay numpy calls: they are BLAS kernels
-        # with FMA, whose bits a plain float sum does not reproduce.  Every
+        # and, from n = 2 on, the self-dots stay numpy calls: they are BLAS
+        # kernels with FMA, whose bits a plain float sum does not reproduce
+        # (at n = 1 a self-dot is one product, and runs on floats).  Every
         # elementwise operation runs on Python floats, which round like
-        # numpy's ufuncs without their per-call cost on n-vectors.  A planar
-        # map with a point form, perturbed or not, runs the stages unrolled in
-        # floats: one point call gives f and f', the residual and the solve
-        # stay floats, and y and r_new become arrays after the last stage.
-        # Its values equal fn and jac bit for bit, so both loops step alike.
+        # numpy's ufuncs without their per-call cost on n-vectors.  A map
+        # with a point form, perturbed or not, runs the stages unrolled in
+        # floats: one point call gives f and f', and the residual and the
+        # solve stay floats.  Its values equal fn and jac bit for bit, so
+        # both loops step alike.
         sh = sgn * h
         try:
             if point is None:
                 for i in range(1, 7):
                     yl = [a + sh * d for a, d in zip(xl, _A_ROWS[i].dot(heads[i]).tolist())]
                     y = np.array(yl)
-                    r_new = fn(y) - target
-                    k[i] = solve(jacf(y), [-v for v in r_new.tolist()])
-            else:
+                    r_new = (fn(y) - target).tolist()
+                    k[i] = solve(jacf(y), [-v for v in r_new])
+            elif dim == 2:
                 x0, x1 = xl
+                t0, t1 = tl
                 for i in range(1, 7):
                     d0, d1 = _A_ROWS[i].dot(heads[i]).tolist()
                     y0, y1 = x0 + sh * d0, x1 + sh * d1
                     f0, f1, a00, a01, a10, a11 = point(y0, y1)
                     r0, r1 = f0 - t0, f1 - t1
                     k[i] = solve2(a00, a01, a10, a11, -r0, -r1)
-                yl = [y0, y1]
-                y = np.array(yl)
-                r_new = np.array((r0, r1))
+                yl, r_new = [y0, y1], [r0, r1]
+            else:
+                x0, = xl
+                t0, = tl
+                for i in range(1, 7):
+                    d0, = _A_ROWS[i].dot(heads[i]).tolist()
+                    y0 = x0 + sh * d0
+                    f0, a00 = point(y0)
+                    r0 = f0 - t0
+                    k[i] = solve1(a00, -r0)
+                yl, r_new = [y0], [r0]
         except SAMPLE_ERRORS as exc:
             last_exc = exc
             last_rejected = True
@@ -397,9 +409,9 @@ def integrate(
         # negated so NaN falls into the reject branch.  max() drops a NaN of
         # x_new where np.maximum keeps it, but a NaN there comes from a
         # non-finite stage, which already makes its error term non-finite.
-        err_vec = np.array([sh * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
-                            for e, a, b in zip(_E.dot(k).tolist(), xl, yl)])
-        err = math.sqrt(float(err_vec.dot(err_vec)) / dim)
+        err_vec = [sh * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
+                   for e, a, b in zip(_E.dot(k).tolist(), xl, yl)]
+        err = math.sqrt(selfdot(err_vec) / dim)
         if not (err <= 1.0):
             last_exc = None
             last_rejected = True
@@ -410,8 +422,8 @@ def integrate(
         # direction included.  The floor term is the cancellation noise of
         # evaluating f(x) - y* in floating point; below it the identity is
         # unobservable, not violated.
-        dev = r_new - math.exp(-sgn * h) * r
-        viol = math.sqrt(abs(float(dev.dot(dev))))
+        decay = math.exp(-sgn * h)
+        viol = math.sqrt(abs(selfdot([a - decay * b for a, b in zip(r_new, rl)])))
         allowed = oracle_tol * rnorm + 32.0 * _EPS * (tnorm + rnorm)
         ratio = viol / allowed
         if not (ratio <= 1.0):
@@ -422,17 +434,16 @@ def integrate(
 
         tau += h
         accepted += 1
-        x, xl = y, yl
-        r = r_new
+        xl, rl = yl, r_new
         k[0] = k[6]
-        rnorm = math.sqrt(float(r.dot(r)))
+        rnorm = math.sqrt(selfdot(rl))
         ts.append(sgn * tau)
-        xs.append(x)
-        rs.append(r)
+        xs.append(xl)
+        rs.append(rl)
 
         if rnorm <= opts.residual_tol:
             return finish(FlowStatus.CONVERGED, accepted)
-        if float(x.dot(x)) >= blowup_sq:
+        if selfdot(xl) >= blowup_sq:
             return finish(FlowStatus.BLOWUP, accepted)
         if tau >= opts.t_max * (1.0 - 1e-14):
             return finish(FlowStatus.HORIZON_REACHED, accepted)
@@ -447,6 +458,17 @@ def integrate(
         last_exc = None
 
 
+def _selfdot1(v: list) -> float:
+    """v . v of a one-float list: the one product numpy's dot computes."""
+    return v[0] * v[0]
+
+
+def _selfdot(v: list) -> float:
+    """v . v of a list of floats as numpy's BLAS dot computes it, with FMA."""
+    a = np.array(v)
+    return float(a.dot(a))
+
+
 def _newton_polish(m: C1Map, x, target, residual_tol: float) -> np.ndarray:
     """Guarded plain Newton from x, at most _POLISH_STEPS steps.  A step is
     kept if it lowers the residual norm and either at least halves it
@@ -454,28 +476,90 @@ def _newton_polish(m: C1Map, x, target, residual_tol: float) -> np.ndarray:
     left the region where Newton converges fast and may head for another
     preimage) or lands within ``residual_tol``, where it only polishes
     rounding.  The first step not kept ends the polish; an overflowed norm
-    (inf) is no decrease."""
+    (inf) is no decrease.  A map with a point form runs on floats, with the
+    same values and errors as through eval, jacobian and solve_dense."""
     target = as_vector(target, m.dim)
-    x = as_vector(x, m.dim).copy()
-    r = m.eval(x) - target
-    best = _norm(r)
+    x = as_vector(x, m.dim)
+    newton = (_FloatNewton(m, target, x) if m.point is not None and m.dim <= 2
+              else _ArrayNewton(m, target, x))
+    x = newton.x0
+    r, best = newton.residual(x)
     for _ in range(_POLISH_STEPS):
         if best == 0.0:
             break
         try:
-            step = linalg.solve_dense(m.jacobian(x), r)
-            x_try = x - step
-            r_try = m.eval(x_try) - target
+            x_try = newton.step(x, r)
+            r_try, n_try = newton.residual(x_try)
         except SAMPLE_ERRORS:
             break
-        n_try = _norm(r_try)
         if not (n_try < best and (n_try <= 0.5 * best or n_try <= residual_tol)):
             break
         x, r, best = x_try, r_try, n_try
-    return x
+    return np.array(x)
 
 
-def _norm(r: np.ndarray) -> float:
+class _ArrayNewton:
+    """The polish's residual and Newton step through eval, jacobian and
+    solve_dense; a non-finite x raises eval's ValueError."""
+
+    def __init__(self, m: C1Map, target: np.ndarray, x: np.ndarray):
+        self.m, self.target, self.x0 = m, target, x
+
+    def residual(self, x):
+        r = self.m.eval(x) - self.target
+        return r, _norm(r)
+
+    def step(self, x, r):
+        return x - linalg.solve_dense(self.m.jacobian(x), r)
+
+
+class _FloatNewton:
+    """The same on lists of floats, from one point call per residual: f' at
+    that point is kept for the step from it.  Where the point form raises
+    OverflowError, eval decides whether f raises; if it does not, f' does,
+    and the step from there raises NonFiniteError, as jacobian would."""
+
+    def __init__(self, m: C1Map, target: np.ndarray, x: np.ndarray):
+        self.m, self.target, self.x0 = m, target, x.tolist()
+        self.tl = target.tolist()
+        self.norm = _norm1 if m.dim == 1 else _norm
+        self.solve = linalg._solve1 if m.dim == 1 else linalg._solve2
+        self.jac = None
+
+    def residual(self, x):
+        _check_finite(x)
+        n = len(x)
+        try:
+            values = self.m.point(*x)
+        except OverflowError:
+            self.jac = None
+            r = (self.m.eval(np.array(x)) - self.target).tolist()
+        else:
+            f, self.jac = values[:n], values[n:]
+            if not all(map(math.isfinite, f)):
+                raise NonFiniteError(self.m.name, x)
+            r = [a - b for a, b in zip(f, self.tl)]
+        return r, self.norm(r)
+
+    def step(self, x, r):
+        if self.jac is None or not all(map(math.isfinite, self.jac)):
+            raise NonFiniteError(self.m.name, x)
+        _check_finite(r)
+        return [a - s for a, s in zip(x, self.solve(*self.jac, *r))]
+
+
+def _check_finite(values: list) -> None:
+    """as_vector's ValueError where a list of floats has a non-finite entry."""
+    if not all(map(math.isfinite, values)):
+        as_vector(values)
+
+
+def _norm1(r: list) -> float:
+    """_norm of a one-float list."""
+    return math.sqrt(_selfdot1(r))
+
+
+def _norm(r) -> float:
     """||r||, inf where its square overflows, without a RuntimeWarning."""
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(r))

@@ -1,10 +1,10 @@
 """Dense linear algebra kernels: the singularity rule, solves, spectral norms.
 
 Everything here operates on numpy arrays and Python floats.  Matrices are
-square, real and dense; the target scale is n <= ~100, so there is no sparse
-path.  Dimensions 1 and 2 get closed-form fast paths because the Newton-flow
-integrator calls these kernels thousands of times per trajectory on planar
-problems; larger matrices go through numpy's LAPACK bindings.
+square, real and dense.  Dimensions 1 and 2 get closed-form fast paths on
+Python floats, because the Newton-flow integrator calls these kernels
+thousands of times per trajectory; larger matrices go through numpy's LAPACK
+bindings.
 """
 
 from __future__ import annotations
@@ -157,14 +157,24 @@ def _solve2(a00: float, a01: float, a10: float, a11: float,
     return _eliminate(a00, a01, a10, a11, b0, b1)
 
 
+def _solve1(a00: float, b0: float) -> tuple[float]:
+    """(x0,) solving a00 x0 = b0, all Python floats: the 1x1 solve of every
+    scalar path, the singularity rule on |a00| (SingularError when it fails),
+    then one division."""
+    s = abs(a00)
+    if not _regular(s, s):
+        raise SingularError(s, s)
+    return (b0 / a00,)
+
+
 def _solve_raw(a: np.ndarray, b: list[float]) -> tuple[float, ...] | np.ndarray:
     """Solve A x = b without input validation, for hot loops.
 
     ``b`` is the right-hand side as Python floats (``ndarray.tolist()``).
     Applies the singularity rule first.  Dimensions 1 and 2 run in Python
-    float arithmetic and return x as a tuple of floats; a 2x2 system is
-    _solve2 of its entries.  Larger systems go through LAPACK and return an
-    array.
+    float arithmetic and return x as a tuple of floats; a 1x1 or 2x2 system
+    is _solve1 or _solve2 of its entries.  Larger systems go through LAPACK
+    and return an array.
     """
     n = a.shape[0]
     if n == 2:
@@ -172,10 +182,7 @@ def _solve_raw(a: np.ndarray, b: list[float]) -> tuple[float, ...] | np.ndarray:
         b0, b1 = b
         return _solve2(a00, a01, a10, a11, b0, b1)
     if n == 1:
-        a00 = a.item()
-        if not _regular(abs(a00), abs(a00)):
-            raise SingularError(abs(a00), abs(a00))
-        return (b[0] / a00,)
+        return _solve1(a.item(), b[0])
     _regular_extremes(a)
     return np.linalg.solve(a, b)
 

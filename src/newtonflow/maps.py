@@ -1,7 +1,8 @@
 """C1 maps f: R^n -> R^n with analytic or finite-difference Jacobians.
 
-A C1Map bundles an evaluator, an optional closed-form Jacobian and an
-optional planar point form of the pair, which runs on floats and on rows.
+A C1Map bundles an evaluator, an optional closed-form Jacobian and, for
+n <= 2, an optional point form of the pair, which runs on floats and, for a
+planar map, on rows.
 The oracle map zampieri-ex5 also has closed forms of its inverse Jacobian,
 its Newton field toward f(0) and the radial product x . F(x), as the plain
 functions zampieri_inv_jac, zampieri_field and zampieri_radial, which the
@@ -68,8 +69,9 @@ def _exp_rows(v):
 # A point form's functions on floats and on rows, as class attributes (a lookup
 # costs what math.exp's does).  A row op equals its float op bit for bit where
 # that is finite, else gives inf or NaN; np.power would not round like **.
+# Only planar forms run on rows, so ROW_OPS has no atan.
 class FLOAT_OPS:
-    exp, sqrt, pow = math.exp, math.sqrt, pow
+    exp, sqrt, pow, atan = math.exp, math.sqrt, pow, math.atan
 
 
 class ROW_OPS:
@@ -84,12 +86,15 @@ class C1Map:
     to central finite differences with per-coordinate steps
     h_i = FD_REL_STEP * max(1, |x_i|).
 
-    ``point`` is an optional planar point form: ``point(xi, eta, ops=FLOAT_OPS)``
-    returns (f0, f1, a00, a01, a10, a11), f and f', using only arithmetic and
-    ops.exp, ops.sqrt and ops.pow.  On floats it equals ``fn`` and ``jac`` bit
-    for bit and raises where they raise; ``integrate`` steps with it.  With
-    ROW_OPS on a block's columns it gives ``rows`` and ``eval_rows``.  A map
-    whose ``fn`` or ``jac`` is replaced must replace or drop it.
+    ``point`` is an optional point form of a map with n <= 2: f and f' from
+    one call, using only arithmetic and the functions of ``ops``.
+    ``point(x, ops=FLOAT_OPS)`` returns (f0, a00) at n = 1, and
+    ``point(xi, eta, ops=FLOAT_OPS)`` returns (f0, f1, a00, a01, a10, a11) at
+    n = 2.  On floats it equals ``fn`` and ``jac`` bit for bit and raises
+    where they raise; ``integrate`` and the Newton polish step with it.  A
+    planar one with ROW_OPS on a block's columns gives ``rows`` and
+    ``eval_rows``.  A map whose ``fn`` or ``jac`` is replaced must replace or
+    drop it.
     """
 
     name: str
@@ -172,7 +177,8 @@ class C1Map:
         if self.jac is None:
             raise ValueError("map has no analytic Jacobian to perturb")
         factor = 1.0 + eps
-        point = None if self.point is None else partial(_scaled_point, self.point, factor)
+        point = (None if self.point is None
+                 else partial(_scaled_point, self.point, factor, self.dim))
         return replace(self, jac=partial(_scaled_jac, self.jac, factor), point=point)
 
 
@@ -180,9 +186,10 @@ def _scaled_jac(jac, factor, x):
     return factor * np.asarray(jac(x), dtype=float)
 
 
-def _scaled_point(point, factor, xi, eta, ops=FLOAT_OPS):
-    f0, f1, a00, a01, a10, a11 = point(xi, eta, ops)
-    return f0, f1, factor * a00, factor * a01, factor * a10, factor * a11
+def _scaled_point(point, factor, dim, *args, **kwargs):
+    # f, then f' scaled: its trailing dim^2 entries
+    values = point(*args, **kwargs)
+    return (*values[:dim], *(factor * a for a in values[dim:]))
 
 
 def fd_jacobian_check(m: C1Map, probes) -> float:
@@ -210,20 +217,25 @@ def fd_jacobian_check(m: C1Map, probes) -> float:
 # end-to-end oracle.
 
 
-# A planar built-in states its formula once, as a point form; Python floats
-# round like numpy's ufuncs, so it has the same bits on floats and on rows.
-# Its fn and jac are the two adapters below, bound to it with partial.
+# A built-in of dimension 1 or 2 states its formula once, as a point form;
+# Python floats round like numpy's ufuncs, so a planar one has the same bits
+# on floats and on rows.  Its fn and jac are the two adapters below, bound to
+# it with partial.
 def _point_fn(point, x):
-    return np.array(point(*x.tolist())[:2])
+    return np.array(point(*x.tolist())[:len(x)])
 
 
 def _point_jac(point, x):
-    _, _, a00, a01, a10, a11 = point(*x.tolist())
-    return np.array(((a00, a01), (a10, a11)))
+    n = len(x)
+    return np.array(point(*x.tolist())[n:]).reshape(n, n)
 
 
 def _planar(name, form):
     return C1Map(name, 2, partial(_point_fn, form), partial(_point_jac, form), point=form)
+
+
+def _line(name, form):
+    return C1Map(name, 1, partial(_point_fn, form), partial(_point_jac, form), point=form)
 
 
 def _zampieri(xi, eta, ops=FLOAT_OPS):
@@ -265,28 +277,22 @@ def zampieri_radial(x):
         return xi * (e / np.sqrt(t) - 1.0) - eta * eta * e * np.sqrt(t)
 
 
-def _arctan_fn(x):
-    return np.array((math.atan(x[0]),))
+def _arctan(x, ops=FLOAT_OPS):
+    """f = arctan x and f' = 1 / (1 + x^2), which is 0.0 where x^2 overflows
+    (|x| > 1.3e154)."""
+    return ops.atan(x), 1.0 / (1.0 + x * x)
 
 
-def _arctan_jac(x):
-    return np.array(((1.0 / (1.0 + x[0] * x[0]),),))
+def _cubic(x, ops=FLOAT_OPS):
+    """f = x + x^3 and f' = 1 + 3 x^2 >= 1.  A float cube raises OverflowError
+    past |x| ~ 5.6e102, so there jac raises too, as fn does."""
+    return x + ops.pow(x, 3), 1.0 + 3.0 * x * x
 
 
-def _cubic_fn(x):
-    return np.array((x[0] + x[0] ** 3,))
-
-
-def _cubic_jac(x):
-    return np.array(((1.0 + 3.0 * x[0] * x[0],),))
-
-
-def _exp_fn(x):
-    return np.array((math.exp(x[0]) if x[0] < 709.0 else math.inf,))
-
-
-def _exp_jac(x):
-    return _exp_fn(x).reshape(1, 1)
+def _exp(x, ops=FLOAT_OPS):
+    """f = f' = e^x, cut to inf from x = 709 on (and at NaN)."""
+    e = ops.exp(x) if x < 709.0 else math.inf
+    return e, e
 
 
 def _linear_fn(a, x):
@@ -348,7 +354,7 @@ _REGISTRY: dict[str, MapRegistryEntry] = {e.key: e for e in (
         "x -> arctan x: injective onto (-pi/2, pi/2); inverse-derivative growth "
         "1 + x^2 defeats the Hadamard-Levy integral condition",
         "classic bounded counterexample for surjectivity criteria",
-        lambda: C1Map("arctan1d", 1, _arctan_fn, _arctan_jac),
+        lambda: _line("arctan1d", _arctan),
     ),
     MapRegistryEntry(
         "linear", None,
@@ -360,14 +366,14 @@ _REGISTRY: dict[str, MapRegistryEntry] = {e.key: e for e in (
         "cubic1d", 1,
         "x -> x + x^3: global diffeomorphism of R with f' = 1 + 3x^2 >= 1",
         "monotone scalar benchmark with a bisection-checkable inverse",
-        lambda: C1Map("cubic1d", 1, _cubic_fn, _cubic_jac),
+        lambda: _line("cubic1d", _cubic),
     ),
     MapRegistryEntry(
         "exp1d", 1,
         "x -> e^x: injective, not surjective; targets <= 0 make the Newton flow "
         "blow up",
         "blow-up detection benchmark",
-        lambda: C1Map("exp1d", 1, _exp_fn, _exp_jac),
+        lambda: _line("exp1d", _exp),
     ),
     MapRegistryEntry(
         "rot-poly2d", 2,

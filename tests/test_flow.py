@@ -135,9 +135,9 @@ def _counted(m, calls):
         calls["jac"] += 1
         return m.jac(x)
 
-    def point(x0, x1):
+    def point(*xs):
         calls["point"] += 1
-        return m.point(x0, x1)
+        return m.point(*xs)
 
     return dataclasses.replace(m, fn=fn, jac=None if m.jac is None else jac,
                                point=None if m.point is None else point)
@@ -166,13 +166,14 @@ def test_both_time_directions_are_pinned():
     # backward, at a precise and at a 1e-6 tolerance: 120 trajectories
     # whose statuses span all five outcomes.  A change to the stepper that
     # moves any t, state, residual, status or step count moves the digest,
-    # and one that does more or less work moves the call counts.  The planar
-    # maps' stages go through their point forms: fn + point and jac + point
+    # and one that does more or less work moves the call counts.  Every
+    # built-in here has a point form, through which the stages go: fn and jac
+    # are called once per run, at the seed, and fn + point and jac + point
     # are the 140 590 evaluations of f and of f' that fn and jac made alone.
     maps = [builtin(e.key) for e in registry_entries() if e.dim is not None]
     digest, calls = _pinned_runs(maps, np.random.default_rng(0))
     assert digest == "fe4cc4bf233b862b58ec6510bb3b158eb93cb687d45ff3195c1c8e9fdd38ad30"
-    assert calls == {"fn": 97896, "jac": 97896, "point": 42694}
+    assert calls == {"fn": 120, "jac": 120, "point": 140470}
 
 
 def test_lapack_solves_are_pinned():
@@ -422,6 +423,37 @@ def test_solve_inverse_failure_is_the_full_flow_trajectory(key, start, target, s
         assert getattr(got, name).tobytes() == getattr(full, name).tobytes(), name
 
 
+def test_solve_inverse_answers_are_pinned():
+    # bit-exact solve_inverse answers: 8 seeded (start, target) pairs per
+    # map, half the targets images f(x) and half drawn like the starts, so
+    # the batch spans answers and every failure status.  A FlowFailure
+    # enters the digest with its status and its trajectory's bytes.  The
+    # step budget is cut to 4000, where the perturbed map's unreachable
+    # targets end step-failure: at 100 000 steps they take 2 s each.
+    opts = FlowOptions(max_steps=4000)
+    maps = [builtin(e.key) for e in registry_entries() if e.dim is not None]
+    maps += [ZAMP.with_perturbed_jacobian(1e-3), CUBE]
+    rng = np.random.default_rng(5)
+    digest = hashlib.sha256()
+    outcomes = {}
+    for m in maps:
+        for i, (start, y) in enumerate(rng.uniform(-2.0, 2.0, (8, 2, m.dim))):
+            target = m.eval(y) if i % 2 else y
+            try:
+                x = solve_inverse(m, target, start, opts)
+            except FlowFailure as exc:
+                traj = exc.trajectory
+                digest.update(f"{exc.status.value} {traj.steps};".encode())
+                for a in (traj.t, traj.states, traj.residuals):
+                    digest.update(a.tobytes())
+                outcomes[exc.status.value] = outcomes.get(exc.status.value, 0) + 1
+            else:
+                digest.update(x.tobytes())
+                outcomes["solved"] = outcomes.get("solved", 0) + 1
+    assert outcomes == {"solved": 47, "blowup": 2, "step-failure": 5, "singular-jacobian": 2}
+    assert digest.hexdigest() == "cb719c3a94ab6cfd4f215f06dc871b762da15bc227a831ec560fef1a374f3a35"
+
+
 def test_solve_inverse_ill_conditioned_linear_map():
     # integrate alone stalls near x* (test_ill_conditioned_linear_map_converges
     # is its strict xfail); Newton from the handoff point finishes
@@ -562,6 +594,40 @@ def test_newton_polish_refuses_a_step_whose_residual_norm_overflows():
     # whether the halving test or the landing test is the one that applies
     for residual_tol in (FlowOptions().residual_tol, math.inf):
         assert _newton_polish(CUBE_1D, (1e-30,), (1.0,), residual_tol).tolist() == [1e-30]
+
+
+def _polish_outcome(m, x, target):
+    try:
+        return _newton_polish(m, x, target, FlowOptions().residual_tol).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_POLISH_EDGES = {
+    # f overflows at the start (NonFiniteError), x^2 overflows in the norm
+    "cubic1d": [(5.7e102,), (1e60,), (-3e51,), (2.5,)],
+    # e^x cut to inf past 709, and subnormal; a step to x_try = -inf (ValueError)
+    "exp1d": [(708.99,), (709.5,), (-740.0,), (3.0,)],
+    # f' = 0.0 (singular), f' = 1e-308 with a step past max float (ValueError)
+    "arctan1d": [(1e155,), (1e154,), (-1e154,), (10.0,)],
+    "zampieri-ex5": [(710.0, 0.0), (-700.0, 1e200), (3.0, -2.0)],
+    "rot-poly2d": [(5.7e102, 0.0), (1e60, -1e60), (3.0, -2.0)],
+}
+
+
+@pytest.mark.parametrize("key", sorted(_POLISH_EDGES))
+def test_newton_polish_on_floats_equals_the_array_path(key):
+    # the polish through a point form keeps the bits, and the errors, of the
+    # polish through eval, jacobian and solve_dense
+    rng = np.random.default_rng(44)
+    m = builtin(key)
+    for formed in (m, m.with_perturbed_jacobian(0.3)):
+        plain = dataclasses.replace(formed, point=None)
+        starts = [*_POLISH_EDGES[key], *rng.uniform(-3.0, 3.0, (20, m.dim))]
+        targets = [np.full(m.dim, v) for v in (-1.5, 0.2, 1.5)]
+        for x, target in ((x, t) for x in starts for t in targets):
+            got = _polish_outcome(formed, x, target)
+            assert got == _polish_outcome(plain, x, target), (x, target)
 
 
 def _identity_with_jacobian(slope, calls):

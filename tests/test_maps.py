@@ -206,6 +206,7 @@ def test_maps_survive_pickle_round_trip():
         assert (back.point is None) == (m.point is None)
         if m.point is not None:
             assert np.array(back.point(*x)).tobytes() == np.array(m.point(*x)).tobytes()
+        if m.point is not None and m.dim == 2:
             for got, want in zip(back.rows(x[None]), m.rows(x[None])):
                 assert got.tobytes() == want.tobytes()
 
@@ -391,15 +392,32 @@ def _overflow_or_bytes(call):
         return OverflowError
 
 
-_POINT_MAPS = [builtin("zampieri-ex5"), builtin("rot-poly2d", eps=0.1),
-               builtin("rot-poly2d", eps=0.3)]
-_POINT_IDS = ["zampieri-ex5", "rot-poly2d-0.1", "rot-poly2d-0.3"]
+# |x| where x^3 overflows, in both signs and on both sides of cbrt(max)
+_CUBE_TOP = float(np.cbrt(np.finfo(float).max))
+_CUBE_EDGES = np.array([5.6e102, 5.7e102, np.nextafter(_CUBE_TOP, 0.0), _CUBE_TOP,
+                        np.nextafter(_CUBE_TOP, math.inf), 1e120, 1e155])
+_CUBE_EDGES = np.concatenate((_CUBE_EDGES, -_CUBE_EDGES))
+
+# Each map with a point form, with the points where its formula is at an
+# edge: exp1d's cut at 709 and math.exp's range, arctan1d's overflowing
+# x^2, the cube's overflow.  exp1d and arctan1d raise nowhere.
+_POINT_MAPS = [
+    (builtin("zampieri-ex5"), ()),
+    (builtin("rot-poly2d", eps=0.1), ()),
+    (builtin("rot-poly2d", eps=0.3), ()),
+    (builtin("cubic1d"), _CUBE_EDGES),
+    (builtin("exp1d"), (708.99, 709.0, 709.78, 710.0, -800.0)),
+    (builtin("arctan1d"), (1e155, -1e155)),
+]
+_POINT_IDS = ["zampieri-ex5", "rot-poly2d-0.1", "rot-poly2d-0.3", "cubic1d", "exp1d", "arctan1d"]
 
 
-def _assert_point_is_fn_and_jac(m):
+def _assert_point_is_fn_and_jac(m, edges):
     # the point-form contract: f and f' of fn and jac, bit for bit, raising
-    # where they raise (e^xi past its range, xi**3 or eta**3 past 1.8e308)
-    pts = _row_points(4000, seed=41)
+    # where they raise (e^xi past its range, x**3 past 1.8e308); a 1-D map
+    # takes each coordinate of the planar points as a point
+    pts = np.concatenate((_row_points(4000, seed=41).reshape(-1, m.dim),
+                          np.reshape(edges, (-1, m.dim))))
     raised = 0
     for x in pts:
         got = _overflow_or_bytes(lambda: m.point(*x.tolist()))
@@ -410,24 +428,53 @@ def _assert_point_is_fn_and_jac(m):
             raised += 1
         else:
             assert got == b"".join(want), x
-    assert 0 < raised < len(pts) // 2
+    assert raised < len(pts) // 2
+    assert (raised > 0) == (m.name not in ("exp1d", "arctan1d"))
 
 
-@pytest.mark.parametrize("m", _POINT_MAPS, ids=_POINT_IDS)
-def test_point_form_equals_fn_and_jac_bytes(m):
-    _assert_point_is_fn_and_jac(m)
+@pytest.mark.parametrize("m, edges", _POINT_MAPS, ids=_POINT_IDS)
+def test_point_form_equals_fn_and_jac_bytes(m, edges):
+    _assert_point_is_fn_and_jac(m, edges)
 
 
 @pytest.mark.parametrize("eps", [1e-3, -1.0])
-@pytest.mark.parametrize("m", _POINT_MAPS, ids=_POINT_IDS)
-def test_perturbed_maps_scale_the_point_form(m, eps):
-    # a perturbed map keeps its point form, with f' scaled as jac is, so the
-    # flow steps with the perturbed f'
-    _assert_point_is_fn_and_jac(m.with_perturbed_jacobian(eps))
+@pytest.mark.parametrize("m, edges", _POINT_MAPS, ids=_POINT_IDS)
+def test_perturbed_maps_scale_the_point_form(m, edges, eps):
+    # a perturbed map keeps its point form, with f' scaled as jac is in
+    # either dimension, so the flow steps with the perturbed f'
+    _assert_point_is_fn_and_jac(m.with_perturbed_jacobian(eps), edges)
+
+
+def test_line_point_forms_at_their_edges():
+    exp = builtin("exp1d")
+    assert exp.point(708.99) == (math.exp(708.99),) * 2
+    assert exp.point(-800.0) == (0.0, 0.0)
+    for x in (709.0, 709.78, 710.0):   # past the cut, e^x is inf, never raised
+        assert exp.point(x) == (math.inf, math.inf)
+        for evaluate in (exp.eval, exp.jacobian):
+            with pytest.raises(NonFiniteError):
+                evaluate((x,))
+    arctan = builtin("arctan1d")
+    for x in (1e155, -1e155):   # x^2 overflows: f' is 0.0, and finite
+        assert arctan.point(x) == (math.copysign(math.pi / 2, x), 0.0)
+        assert arctan.jacobian((x,)).tolist() == [[0.0]]
+    cubic = builtin("cubic1d")
+    for x in (5.6e102, -5.6e102):
+        f, a = cubic.point(x)
+        assert math.isfinite(f) and cubic.jacobian((x,)).tolist() == [[a]]
+    for x in (5.7e102, -5.7e102, 1e120):
+        # the cube overflows: fn and jac raise OverflowError, though 3x^2 is
+        # finite, and eval and jacobian raise NonFiniteError
+        for raw in (cubic.fn, cubic.jac):
+            with pytest.raises(OverflowError):
+                raw(np.array((x,)))
+        for evaluate in (cubic.eval, cubic.jacobian):
+            with pytest.raises(NonFiniteError):
+                evaluate((x,))
 
 
 def test_maps_without_a_point_form():
-    zamp = builtin("zampieri-ex5")
+    zamp, cubic = builtin("zampieri-ex5"), builtin("cubic1d")
     assert C1Map("user", 2, zamp.fn, zamp.jac).point is None
-    assert builtin("linear", dim=2).point is None
-    assert all(builtin(e.key).point is None for e in registry_entries() if e.dim == 1)
+    assert C1Map("user", 1, cubic.fn, cubic.jac).point is None
+    assert all(builtin("linear", dim=n).point is None for n in (1, 2, 3))
