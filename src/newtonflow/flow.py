@@ -8,10 +8,10 @@ multiple of the local tolerance, which is a global correctness check no
 generic ODE code has.  The same identity, measured over a whole trajectory,
 is exposed as `decay_drift`.
 
-The stepper is an embedded Dormand-Prince 5(4) pair with PI step-size
-control.  Backward integration (the opposite vector field, used to show
-solutions are global in the past) runs the same stepper with the time sign
-flipped; the decay identity then predicts e^{+|dt|} growth.
+The stepper is an embedded Dormand-Prince 5(4) pair with elementary
+step-size control.  Backward integration (the opposite vector field, used
+to show solutions are global in the past) runs the same stepper with the
+time sign flipped; the decay identity then predicts e^{+|dt|} growth.
 """
 
 from __future__ import annotations
@@ -242,11 +242,22 @@ _E = np.array(
     (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 )
 
+# Step-size control.  A step the error estimate rejects scales h by
+# _SAFETY * err^(-1/5) within [0.1, 1]; one the decay oracle or a failed
+# stage rejects halves it.  After an accepted step the elementary controller
+# (Hairer, Norsett & Wanner I, II.4) sets h *= _GROWTH_SAFETY * err^(-1/5)
+# within [_MIN_FACTOR, _MAX_FACTOR], and at most 1 right after a rejection;
+# err is the larger of the error estimate and the decay oracle's ratio.  h
+# stops changing at err = _GROWTH_SAFETY^5 = 0.9^(1/0.06) ~ 0.17, the level
+# a PI controller with integral gain 0.06 holds, so steady-state accuracy
+# is that controller's.  While h grows, that PI controller held err near
+# 2e-3 and grew h ~10% per step, and most steps of a short run went into
+# the ramp; this one grows h as fast as the error allows (0.81x the
+# accepted steps on the 17x17 zampieri-ex5 scan of tests/test_basin.py).
 _SAFETY = 0.9
+_GROWTH_SAFETY = 0.9 ** (1 / (5 * 0.06))
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_KI = 0.06          # PI controller: h *= safety * err^-(KI+KP) * err_prev^KP
-_KP = 0.08
 _H_MIN = 1e-14
 _EPS = float(np.finfo(float).eps)
 
@@ -256,8 +267,8 @@ _EPS = float(np.finfo(float).eps)
 # 1e-2 keeps a wide margin.  The flow to it runs at abs_tol = rel_tol =
 # _HANDOFF**2: the decay oracle (10*rel_tol of the residual per step) then
 # checks every step to a tenth of the share at which it hands off.  That
-# takes a sixth of the accepted steps the default 1e-10 takes (3856 against
-# 23920 over perfbench's solve-batch, seed 5; 6042 at 1e-6).
+# takes a ninth of the accepted steps the default 1e-10 takes (2469 against
+# 22557 over perfbench's solve-batch, seed 5; 4452 at 1e-6).
 _HANDOFF = 1e-2
 _POLISH_STEPS = 8  # most Newton steps of one _newton_polish
 
@@ -340,7 +351,6 @@ def integrate(
     tau = 0.0
     accepted = 0
     attempts = 0
-    err_prev = 1.0
     last_rejected = False
     last_exc: Exception | None = None
     abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
@@ -449,11 +459,10 @@ def integrate(
             return finish(FlowStatus.HORIZON_REACHED, accepted)
 
         comb = max(err, ratio, 1e-10)
-        factor = _SAFETY * comb ** -(_KI + _KP) * err_prev**_KP
+        factor = _GROWTH_SAFETY * comb**-0.2
         if last_rejected:
             factor = min(factor, 1.0)
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        err_prev = comb
         last_rejected = False
         last_exc = None
 
@@ -469,15 +478,17 @@ def _selfdot(v: list) -> float:
     return float(a.dot(a))
 
 
-def _newton_polish(m: C1Map, x, target, residual_tol: float) -> np.ndarray:
-    """Guarded plain Newton from x, at most _POLISH_STEPS steps.  A step is
-    kept if it lowers the residual norm and either at least halves it
-    (Deuflhard's monotonicity test Theta <= 1/2: a step that contracts less
-    left the region where Newton converges fast and may head for another
-    preimage) or lands within ``residual_tol``, where it only polishes
-    rounding.  The first step not kept ends the polish; an overflowed norm
-    (inf) is no decrease.  A map with a point form runs on floats, with the
-    same values and errors as through eval, jacobian and solve_dense."""
+def _newton_polish(m: C1Map, x, target,
+                   residual_tol: float) -> tuple[np.ndarray, float]:
+    """Guarded plain Newton from x, at most _POLISH_STEPS steps: (x, the
+    residual norm at x).  A step is kept if it lowers the residual norm and
+    either at least halves it (Deuflhard's monotonicity test Theta <= 1/2: a
+    step that contracts less left the region where Newton converges fast and
+    may head for another preimage) or lands within ``residual_tol``, where it
+    only polishes rounding.  The first step not kept ends the polish; an
+    overflowed norm (inf) is no decrease, and neither is a step to a
+    non-finite x.  A map with a point form runs on floats, with the same
+    values and errors as through eval, jacobian and solve_dense."""
     target = as_vector(target, m.dim)
     x = as_vector(x, m.dim)
     newton = (_FloatNewton(m, target, x) if m.point is not None and m.dim <= 2
@@ -489,18 +500,20 @@ def _newton_polish(m: C1Map, x, target, residual_tol: float) -> np.ndarray:
             break
         try:
             x_try = newton.step(x, r)
+            if not all(map(math.isfinite, x_try)):
+                break
             r_try, n_try = newton.residual(x_try)
         except SAMPLE_ERRORS:
             break
         if not (n_try < best and (n_try <= 0.5 * best or n_try <= residual_tol)):
             break
         x, r, best = x_try, r_try, n_try
-    return np.array(x)
+    return np.array(x), best
 
 
 class _ArrayNewton:
     """The polish's residual and Newton step through eval, jacobian and
-    solve_dense; a non-finite x raises eval's ValueError."""
+    solve_dense."""
 
     def __init__(self, m: C1Map, target: np.ndarray, x: np.ndarray):
         self.m, self.target, self.x0 = m, target, x
@@ -527,7 +540,6 @@ class _FloatNewton:
         self.jac = None
 
     def residual(self, x):
-        _check_finite(x)
         n = len(x)
         try:
             values = self.m.point(*x)
@@ -544,14 +556,9 @@ class _FloatNewton:
     def step(self, x, r):
         if self.jac is None or not all(map(math.isfinite, self.jac)):
             raise NonFiniteError(self.m.name, x)
-        _check_finite(r)
+        if not all(map(math.isfinite, r)):
+            as_vector(r)  # solve_dense's ValueError
         return [a - s for a, s in zip(x, self.solve(*self.jac, *r))]
-
-
-def _check_finite(values: list) -> None:
-    """as_vector's ValueError where a list of floats has a non-finite entry."""
-    if not all(map(math.isfinite, values)):
-        as_vector(values)
 
 
 def _norm1(r: list) -> float:
@@ -573,7 +580,7 @@ def _flow_then_polish(m: C1Map, start, target,
     traj = integrate(m, start, target, opts, Direction.FORWARD)
     if traj.status is not FlowStatus.CONVERGED:
         return traj, None
-    return traj, _newton_polish(m, traj.final_state, target, opts.residual_tol)
+    return traj, _newton_polish(m, traj.final_state, target, opts.residual_tol)[0]
 
 
 def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> np.ndarray:
@@ -603,8 +610,8 @@ def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> n
         near = replace(near, residual_tol=handoff)
     traj = integrate(m, x0, target, near, Direction.FORWARD)
     if traj.status is FlowStatus.CONVERGED:
-        x = _newton_polish(m, traj.final_state, target, opts.residual_tol)
-        if _norm(m.eval(x) - target) <= opts.residual_tol:
+        x, rnorm = _newton_polish(m, traj.final_state, target, opts.residual_tol)
+        if rnorm <= opts.residual_tol:
             return x
     traj, x = _flow_then_polish(m, x0, target, opts)
     if x is None:

@@ -20,7 +20,7 @@ import numpy as np
 # calibrated against a relative pivot tolerance of 1e-13, which for 2x2
 # matrices amounts to roughly 1/cond, and 1e13 reproduces them.  At 1e14 the
 # unreachable zampieri-ex5 run from (1, 1) toward (-1, 0) would go on from
-# 721 to 775 steps before stopping.
+# 753 to 812 steps before stopping.
 COND_LIMIT = 1e13
 
 

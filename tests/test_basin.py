@@ -70,6 +70,25 @@ def test_planar_oracle_scan_fully_converged():
     assert np.nanmax(grid.final_residual) <= SCAN_OPTIONS.residual_tol
 
 
+def test_scan_step_count_stays_below_the_pi_controllers(monkeypatch):
+    # a deterministic work count in place of a timing gate: a scan-tolerance
+    # run is short, and step control that ramps h up slowly spends most of
+    # its steps there.  The PI controller (KI = 0.06, KP = 0.08) took 11 687
+    # accepted steps on this scan; the elementary controller takes 9 502
+    steps = []
+
+    def spy(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        steps.append(traj.steps)
+        return traj
+
+    monkeypatch.setattr("newtonflow.basin.integrate", spy)
+    grid = scan_basin(ZAMP, (0.0, 0.0), (-4, 4, -4, 4), 17, workers=1)
+    assert grid.status_counts() == {"converged": 17 * 17}
+    assert len(steps) == 17 * 17
+    assert sum(steps) <= 0.85 * 11_687, sum(steps)
+
+
 def test_scan_deterministic_across_worker_counts():
     g1 = scan_basin(ZAMP, (0.0, 0.0), (-3, 3, -3, 3), 11, workers=1)
     g2 = scan_basin(ZAMP, (0.0, 0.0), (-3, 3, -3, 3), 11, workers=2)
