@@ -6,6 +6,8 @@ the per-cell statuses draw the failure structure instead.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 
@@ -23,8 +25,9 @@ rep = injectivity_probe(grid, zamp, pairs=20000, seed=0)
 print("injectivity probe: collision =", rep.collision_found,
       " min ||df||/||dx|| =", f"{rep.min_ratio:.3e}")
 
-export_grid(grid, "/tmp/newtonflow_basin.csv", "csv")
-print("wrote /tmp/newtonflow_basin.csv")
+csv_path = os.path.join(tempfile.gettempdir(), "newtonflow_basin.csv")
+export_grid(grid, csv_path, "csv")
+print("wrote", csv_path)
 
 # %% a non-injective map: the probe finds concrete collisions
 

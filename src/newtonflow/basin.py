@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import SCAN_OPTIONS, Direction, FlowOptions, FlowStatus, integrate
+from .flow import (
+    SCAN_OPTIONS,
+    Direction,
+    FlowOptions,
+    FlowStatus,
+    _approach_then_polish,
+    _norm,
+    integrate,
+)
 from .maps import C1Map
 
 # ||f(x) - f(x')|| <= SEP_TOL ||x - x'|| flags a pair as an injectivity collision
@@ -45,8 +53,9 @@ class BasinGrid:
     x0's cell exactly on x0.  ``t_conv`` is the flow time at which a
     converged cell's residual reaches residual_tol by the decay identity,
     ln(||r(0)|| / residual_tol) (0 for a cell that starts within it), and
-    NaN for non-converged cells; ``final_residual`` is where the stepper
-    stopped.
+    NaN for non-converged cells.  ``final_residual`` is ||f(x) - f(x0)|| at
+    the point the cell ended at: for a converged cell, the Newton-polished
+    point, within residual_tol; for any other, where the stepper stopped.
     """
 
     box: tuple[float, float, float, float]
@@ -101,13 +110,27 @@ def _scan_cell(m: C1Map, center, target, opts: FlowOptions):
 
     Along the exact flow ||r(t)|| = e^{-t} ||r(0)||, so a converged cell's
     t_conv is the time ln(||r(0)|| / residual_tol) at which the flow itself
-    reaches residual_tol, not the end of the step that crossed it.
+    reaches residual_tol, not the end of the step that crossed it.  The
+    cell runs solve_inverse's approach leg at ``opts``
+    (flow._approach_then_polish).  A leg that ends non-converged is the flow
+    at ``opts``, so its status and final residual are the cell's.  A
+    converged leg is polished, and a polish that reaches residual_tol makes
+    the cell converged with the polished residual norm.  If the polish
+    misses, or t_conv >= t_max (the exact flow reaches residual_tol only
+    past the horizon), the whole flow at ``opts`` decides the cell.
     """
+    tol = opts.residual_tol
+    r0 = _norm(m.eval(center) - target)
+    t_conv = math.log(r0 / tol) if r0 > tol else 0.0
+    if t_conv < opts.t_max:
+        leg, x, rnorm = _approach_then_polish(m, center, target, opts, r0, integrate)
+        if x is None:
+            return leg.status, math.nan, rnorm
+        if rnorm <= tol:
+            return FlowStatus.CONVERGED, t_conv, rnorm
     traj = integrate(m, center, target, opts, Direction.FORWARD)
     if traj.status is not FlowStatus.CONVERGED:
         return traj.status, math.nan, traj.final_residual_norm
-    r0 = float(np.linalg.norm(traj.residuals[0]))
-    t_conv = math.log(r0 / opts.residual_tol) if r0 > opts.residual_tol else 0.0
     return traj.status, t_conv, traj.final_residual_norm
 
 

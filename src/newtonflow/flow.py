@@ -261,7 +261,8 @@ _MAX_FACTOR = 5.0
 _H_MIN = 1e-14
 _EPS = float(np.finfo(float).eps)
 
-# solve_inverse hands off to Newton once the residual is this share of its
+# The approach leg (_approach_then_polish: solve_inverse and every basin
+# scan cell) hands off to Newton once the residual is this share of its
 # initial norm.  On non-injective maps the flow picks the preimage; Newton
 # started too far out can land on another one (seen on complex exp at 0.5).
 # 1e-2 keeps a wide margin.  The flow to it runs at abs_tol = rel_tol =
@@ -273,10 +274,10 @@ _HANDOFF = 1e-2
 _POLISH_STEPS = 8  # most Newton steps of one _newton_polish
 
 # The path tolerance: runs that decide where the flow goes, not the digits
-# of where it ends.  Basin scans run at it, and solve_inverse's approach leg
-# runs at it or looser.  Neither outputs the stepper's digits: Newton
-# replaces the approach leg's, and a scan's t_conv comes from the decay
-# identity, not from the step at which the run stopped.
+# of where it ends.  Basin scans run their approach legs at it, and
+# solve_inverse runs its leg at it or looser.  Neither outputs the stepper's
+# digits: Newton replaces a converged leg's, and a scan's t_conv comes from
+# the decay identity, not from the step at which the run stopped.
 SCAN_OPTIONS = FlowOptions(abs_tol=_HANDOFF**2, rel_tol=_HANDOFF**2)
 
 
@@ -583,6 +584,32 @@ def _flow_then_polish(m: C1Map, start, target,
     return traj, _newton_polish(m, traj.final_state, target, opts.residual_tol)[0]
 
 
+def _approach_then_polish(m: C1Map, x0: np.ndarray, target: np.ndarray,
+                          opts: FlowOptions, r0: float, run=None
+                          ) -> tuple[Trajectory, np.ndarray | None, float]:
+    """The approach leg, then the Newton polish: the forward flow at ``opts``
+    from x0 until the residual is within max(opts.residual_tol, _HANDOFF *
+    r0), with r0 = ||f(x0) - y*||, then _newton_polish from its end toward
+    opts.residual_tol.  Returns (leg, x, ||f(x) - y*||), or (leg, None, the
+    leg's final residual norm) when the leg did not converge.
+
+    The leg raises only residual_tol, which only the stop test reads, so it
+    is the flow at ``opts`` step for step up to where it stops: a leg that
+    ends non-converged is that whole flow.  ``run`` is the integrator,
+    integrate by default; a caller in another module passes the integrate
+    it imports, so a wrapper installed on that name sees the leg.
+    """
+    leg_opts = opts
+    handoff = _HANDOFF * r0
+    # an overflowed initial residual (inf) leaves the stop test as it is
+    if opts.residual_tol < handoff < math.inf:
+        leg_opts = replace(opts, residual_tol=handoff)
+    leg = (run or integrate)(m, x0, target, leg_opts, Direction.FORWARD)
+    if leg.status is not FlowStatus.CONVERGED:
+        return leg, None, leg.final_residual_norm
+    return (leg, *_newton_polish(m, leg.final_state, target, opts.residual_tol))
+
+
 def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> np.ndarray:
     """Solve f(x) = y* globally: flow from ``start`` to the neighbourhood of
     the solution, then finish with guarded Newton.
@@ -592,27 +619,26 @@ def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> n
     The flow only has to carry x into the basin of the preimage it leads
     to, so it runs at the path tolerance SCAN_OPTIONS (or the caller's, if
     looser) and only until the residual is _HANDOFF times its initial norm
-    (or residual_tol, if that is larger).  The Newton polish to the caller's
-    residual_tol then replaces the flow's digits quadratically; they are
-    never output.  On any miss (that run ending non-converged, residual_tol
-    not reached) the full flow runs from ``start`` at ``opts``, followed by
-    the same polish, so the answer and any FlowFailure are those of the full
-    flow.  CLI ``solve`` still reports the full-tolerance trajectory.
+    (or residual_tol, if that is larger): _approach_then_polish.  The Newton
+    polish to the caller's residual_tol then replaces the flow's digits
+    quadratically; they are never output.  On any miss (that run ending
+    non-converged, residual_tol not reached) the full flow runs from
+    ``start`` at ``opts``, followed by the same polish, so the answer and
+    any FlowFailure are those of the full flow; a run at the caller's own
+    tolerances that ends non-converged already is the full flow, and its
+    FlowFailure is raised at once.  CLI ``solve`` still reports the
+    full-tolerance trajectory.
     """
     opts = opts or FlowOptions()
     x0 = as_vector(start, m.dim)
     target = as_vector(target, m.dim)
     near = replace(opts, abs_tol=max(opts.abs_tol, SCAN_OPTIONS.abs_tol),
                    rel_tol=max(opts.rel_tol, SCAN_OPTIONS.rel_tol))
-    handoff = _HANDOFF * _norm(m.eval(x0) - target)
-    # an overflowed initial residual (inf) leaves the stop test as it is
-    if opts.residual_tol < handoff < math.inf:
-        near = replace(near, residual_tol=handoff)
-    traj = integrate(m, x0, target, near, Direction.FORWARD)
-    if traj.status is FlowStatus.CONVERGED:
-        x, rnorm = _newton_polish(m, traj.final_state, target, opts.residual_tol)
-        if rnorm <= opts.residual_tol:
-            return x
+    leg, x, rnorm = _approach_then_polish(m, x0, target, near, _norm(m.eval(x0) - target))
+    if x is not None and rnorm <= opts.residual_tol:
+        return x
+    if x is None and near == opts:
+        raise FlowFailure(leg)
     traj, x = _flow_then_polish(m, x0, target, opts)
     if x is None:
         raise FlowFailure(traj)

@@ -11,7 +11,7 @@ from newtonflow.basin import (
     load_grid_records,
     scan_basin,
 )
-from newtonflow.flow import FlowOptions, FlowStatus, integrate
+from newtonflow.flow import FlowOptions, FlowStatus, _approach_then_polish, integrate
 from newtonflow.maps import C1Map, builtin
 
 ZAMP = builtin("zampieri-ex5")
@@ -43,6 +43,19 @@ def _fold_jac(x):
 
 
 FOLD = C1Map("fold", 2, _fold_fn, _fold_jac)
+
+
+def _cube_fn(x):
+    return np.array((x[0] ** 3 - 3.0 * x[0] * x[1] ** 2, 3.0 * x[0] ** 2 * x[1] - x[1] ** 3))
+
+
+def _cube_jac(x):
+    a, b = 3.0 * (x[0] ** 2 - x[1] ** 2), 6.0 * x[0] * x[1]
+    return np.array(((a, -b), (b, a)))
+
+
+# z -> z^3 as a planar map: three preimages for every target but 0
+CUBE = C1Map("z-cubed", 2, _cube_fn, _cube_jac)
 
 
 def test_linear_scan_all_converge_with_predicted_times():
@@ -89,6 +102,80 @@ def test_scan_step_count_stays_below_the_pi_controllers(monkeypatch):
     assert sum(steps) <= 0.85 * 11_687, sum(steps)
 
 
+def _spy_scan_runs(monkeypatch) -> list:
+    """Record every trajectory the scan's cells integrate."""
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr("newtonflow.basin.integrate", spy)
+    return runs
+
+
+def test_scan_cells_hand_off_to_newton(monkeypatch):
+    # each cell flows only until its residual is 1e-2 of its initial norm
+    # and Newton does the rest: the full flow to residual_tol took 9 502
+    # accepted steps on this scan, the approach legs take 3 746
+    runs = _spy_scan_runs(monkeypatch)
+    grid = scan_basin(ZAMP, (0.0, 0.0), (-4, 4, -4, 4), 17, workers=1)
+    assert grid.status_counts() == {"converged": 17 * 17}
+    assert len(runs) == 17 * 17
+    assert sum(r.steps for r in runs) <= 0.5 * 9_502, [r.steps for r in runs]
+
+
+def test_scan_agrees_with_the_full_flow_cell_by_cell():
+    # the approach leg and its polish stand in for the full flow at the same
+    # options: every cell keeps the full flow's status and t_conv, and a
+    # non-converged cell its final residual, bit for bit
+    short_horizon = FlowOptions(abs_tol=1e-8, rel_tol=1e-8, t_max=6.0)
+    seen = set()
+    for m, x0, box, res, opts in (
+        (FOLD, (1.0, 0.0), (-2, 2, -2, 2), 11, SCAN_OPTIONS),
+        (COMPLEX_EXP, (0.0, 0.0), (-1, 1, -7, 7), 11, SCAN_OPTIONS),
+        (CUBE, (1.0, 0.5), (-2, 2, -2, 2), 11, SCAN_OPTIONS),
+        (ZAMP, (0.3, -0.2), (-40, 40, -30, 30), 11, SCAN_OPTIONS),
+        (COMPLEX_EXP, (0.0, 0.0), (-2, 2, -2, 2), 7, short_horizon),
+    ):
+        grid = scan_basin(m, x0, box, res, opts=opts, workers=1)
+        target = m.eval(x0)
+        tol = opts.residual_tol
+        for i, cx in enumerate(grid.cx):
+            for j, cy in enumerate(grid.cy):
+                full = integrate(m, (cx, cy), target, opts)
+                where = (m.name, cx, cy)
+                assert grid.status[i, j] is full.status, where
+                seen.add(full.status)
+                if full.status is FlowStatus.CONVERGED:
+                    r0 = np.linalg.norm(full.residuals[0])
+                    assert grid.t_conv[i, j] == (math.log(r0 / tol) if r0 > tol else 0.0), where
+                    assert grid.final_residual[i, j] <= tol, where
+                else:
+                    assert math.isnan(grid.t_conv[i, j]), where
+                    assert grid.final_residual[i, j] == full.final_residual_norm, where
+    # every exit a scan cell can take here was compared
+    assert seen == {FlowStatus.CONVERGED, FlowStatus.HORIZON_REACHED,
+                    FlowStatus.STEP_FAILURE, FlowStatus.SINGULAR_JACOBIAN}, seen
+
+
+def test_a_cell_whose_polish_misses_is_the_full_flow(monkeypatch):
+    # (x^3, y) toward 0: guarded Newton only thirds x per step, so eight
+    # steps from the handoff point miss residual_tol, and the full flow at
+    # the scan's options, run after the leg, decides the cell
+    m = C1Map("x-cubed-y", 2, lambda x: np.array((x[0] ** 3, x[1])),
+              lambda x: np.array(((3.0 * x[0] ** 2, 0.0), (0.0, 1.0))))
+    runs = _spy_scan_runs(monkeypatch)
+    grid = scan_basin(m, (0.0, 0.0), (0.5, 1.5, -1, 1), 2, workers=1)
+    assert grid.status_counts() == {"converged": 4}
+    assert len(runs) == 2 * 4  # a leg, then the full flow, per cell
+    tol = SCAN_OPTIONS.residual_tol
+    for full, residual, t_conv in zip(runs[1::2], grid.final_residual.ravel(),
+                                      grid.t_conv.ravel()):
+        assert residual == full.final_residual_norm
+        assert t_conv == math.log(np.linalg.norm(full.residuals[0]) / tol)
+
+
 def test_scan_deterministic_across_worker_counts():
     g1 = scan_basin(ZAMP, (0.0, 0.0), (-3, 3, -3, 3), 11, workers=1)
     g2 = scan_basin(ZAMP, (0.0, 0.0), (-3, 3, -3, 3), 11, workers=2)
@@ -107,9 +194,13 @@ def test_converged_cells_reproduce_under_rerun():
         for j in (0, 3, 6):
             traj = integrate(ZAMP, (cx[i], cy[j]), target, SCAN_OPTIONS)
             assert traj.status is grid.status[i, j] is FlowStatus.CONVERGED
-            assert traj.final_residual_norm == grid.final_residual[i, j]
             r0 = np.linalg.norm(traj.residuals[0])
             tol = SCAN_OPTIONS.residual_tol
+            # a converged cell reports the residual of the Newton-polished
+            # end of its approach leg, not of the full run's last step
+            center = np.array((cx[i], cy[j]))
+            _, x, rnorm = _approach_then_polish(ZAMP, center, target, SCAN_OPTIONS, r0)
+            assert x is not None and rnorm == grid.final_residual[i, j] <= tol
             t_conv = grid.t_conv[i, j]
             assert t_conv == (math.log(r0 / tol) if r0 > tol else 0.0)
             # the stepper stops at the end of the first step past t_conv

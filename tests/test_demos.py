@@ -1,7 +1,4 @@
-"""Smoke test: the demos run to completion and print something.
-
-Demo 04 is left out: it spends ~20 s in basin scans.
-"""
+"""Smoke test: the demos run to completion and print something."""
 
 import os
 import subprocess
@@ -14,9 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_global_inversion.py", "02_decay_identity.py",
-                                  "03_certificates.py"])
+                                  "03_certificates.py", "04_basin_scan.py"])
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps demo 02's CSV export inside the test's own directory
+    # TMPDIR keeps the demos' CSV exports inside the test's own directory
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
                           capture_output=True, text=True, timeout=300)

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from test_basin import COMPLEX_EXP, FOLD
+from test_basin import COMPLEX_EXP, CUBE, FOLD
 
 from newtonflow.flow import (
     FIELD_BLOCK,
@@ -352,19 +352,6 @@ def _full_flow_solve(m, target, start):
     return x
 
 
-def _cube_fn(x):
-    return np.array((x[0] ** 3 - 3.0 * x[0] * x[1] ** 2, 3.0 * x[0] ** 2 * x[1] - x[1] ** 3))
-
-
-def _cube_jac(x):
-    a, b = 3.0 * (x[0] ** 2 - x[1] ** 2), 6.0 * x[0] * x[1]
-    return np.array(((a, -b), (b, a)))
-
-
-# z -> z^3 as a planar map: three preimages for every target but 0
-CUBE = C1Map("z-cubed", 2, _cube_fn, _cube_jac)
-
-
 @pytest.mark.parametrize("key, dim", [("zampieri-ex5", 2), ("cubic1d", 1), ("rot-poly2d", 2)])
 def test_solve_inverse_agrees_with_the_full_flow(key, dim):
     m = builtin(key)
@@ -438,6 +425,34 @@ def test_solve_inverse_failure_is_the_full_flow_trajectory(key, start, target, s
     assert got.steps == full.steps
     for name in ("t", "states", "residuals"):
         assert getattr(got, name).tobytes() == getattr(full, name).tobytes(), name
+
+
+@pytest.mark.parametrize("key, start, target", [
+    ("arctan1d", (0.0,), (2.0,)),
+    ("exp1d", (0.0,), (-1.0,)),
+    ("zampieri-ex5", (1.0, 1.0), (-1.0, 0.0)),
+])
+def test_a_failed_leg_at_the_callers_tolerances_is_the_failure(monkeypatch, key, start, target):
+    # the approach leg at the caller's own tolerances is the full flow up to
+    # where it stops, so when it fails no second run is needed
+    import newtonflow.flow as flow_mod
+
+    runs = []
+
+    def spy(*args):
+        runs.append(integrate(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(flow_mod, "integrate", spy)
+    m = builtin(key)
+    opts = FlowOptions(abs_tol=1e-4, rel_tol=1e-4)
+    with pytest.raises(FlowFailure) as ei:
+        solve_inverse(m, target, start, opts)
+    full = integrate(m, start, target, opts)
+    assert len(runs) == 1 and ei.value.trajectory is runs[0]
+    assert ei.value.status is full.status is not FlowStatus.CONVERGED
+    for name in ("t", "states", "residuals"):
+        assert getattr(runs[0], name).tobytes() == getattr(full, name).tobytes(), name
 
 
 def test_solve_inverse_answers_are_pinned():
