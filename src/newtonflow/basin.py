@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import (
+# integrate stays importable from here: the benchmark's traced run spans
+# basin.integrate
+from .flow import (  # noqa: F401
     SCAN_OPTIONS,
-    Direction,
     FlowOptions,
     FlowStatus,
-    _approach_then_polish,
+    _flow_then_polish,
     _norm,
     integrate,
 )
@@ -48,14 +49,12 @@ def _centers(lo: float, hi: float, n: int) -> np.ndarray:
 class BasinGrid:
     """Per-cell flow outcomes on a rectangular grid of seed points.
 
-    Cell (i, j) covers the rectangle around center ``(cx[i], cy[j])``; seeds
-    are centers, not corners, so an odd resolution over a symmetric box puts
-    x0's cell exactly on x0.  ``t_conv`` is the flow time at which a
-    converged cell's residual reaches residual_tol by the decay identity,
-    ln(||r(0)|| / residual_tol) (0 for a cell that starts within it), and
-    NaN for non-converged cells.  ``final_residual`` is ||f(x) - f(x0)|| at
-    the point the cell ended at: for a converged cell, the Newton-polished
-    point, within residual_tol; for any other, where the stepper stopped.
+    Cell (i, j) is seeded at its center ``(cx[i], cy[j])``.  A converged
+    cell's ``t_conv`` is ln(||r(0)|| / residual_tol), the time at which the
+    decay identity reaches residual_tol (0 if it starts within it), and its
+    ``final_residual`` that of its Newton-polished point (<= residual_tol).
+    Any other cell has NaN ``t_conv`` and the residual where the stepper
+    stopped.
     """
 
     box: tuple[float, float, float, float]
@@ -106,32 +105,17 @@ class BasinGrid:
 
 
 def _scan_cell(m: C1Map, center, target, opts: FlowOptions):
-    """(status, t_conv, final residual) of one cell's forward flow.
-
-    Along the exact flow ||r(t)|| = e^{-t} ||r(0)||, so a converged cell's
-    t_conv is the time ln(||r(0)|| / residual_tol) at which the flow itself
-    reaches residual_tol, not the end of the step that crossed it.  The
-    cell runs solve_inverse's approach leg at ``opts``
-    (flow._approach_then_polish).  A leg that ends non-converged is the flow
-    at ``opts``, so its status and final residual are the cell's.  A
-    converged leg is polished, and a polish that reaches residual_tol makes
-    the cell converged with the polished residual norm.  If the polish
-    misses, or t_conv >= t_max (the exact flow reaches residual_tol only
-    past the horizon), the whole flow at ``opts`` decides the cell.
-    """
+    """(status, t_conv, final residual) of one cell: those of
+    _flow_then_polish at ``opts``, with the approach leg only where the
+    exact flow reaches residual_tol before t_max."""
     tol = opts.residual_tol
     r0 = _norm(m.eval(center) - target)
     t_conv = math.log(r0 / tol) if r0 > tol else 0.0
-    if t_conv < opts.t_max:
-        leg, x, rnorm = _approach_then_polish(m, center, target, opts, r0, integrate)
-        if x is None:
-            return leg.status, math.nan, rnorm
-        if rnorm <= tol:
-            return FlowStatus.CONVERGED, t_conv, rnorm
-    traj = integrate(m, center, target, opts, Direction.FORWARD)
-    if traj.status is not FlowStatus.CONVERGED:
-        return traj.status, math.nan, traj.final_residual_norm
-    return traj.status, t_conv, traj.final_residual_norm
+    traj, x, rnorm = _flow_then_polish(m, center, target, opts,
+                                       r0=r0 if t_conv < opts.t_max else 0.0)
+    if x is None:
+        return traj.status, math.nan, rnorm
+    return FlowStatus.CONVERGED, t_conv, rnorm
 
 
 def scan_basin(

@@ -102,12 +102,14 @@ class Trajectory:
 
     @property
     def final_residual_norm(self) -> float:
-        return float(np.linalg.norm(self.residuals[-1]))
+        return _norm(self.residuals[-1])
 
+    @np.errstate(over="ignore", invalid="ignore")
     def drift_profile(self) -> np.ndarray:
-        """Per-sample deviation ||r(t) - e^{-t} r(0)|| / ||r(0)||."""
+        """Per-sample deviation ||r(t) - e^{-t} r(0)|| / ||r(0)||; NaN where
+        ||r(0)|| overflows."""
         r0 = self.residuals[0]
-        n0 = float(np.linalg.norm(r0))
+        n0 = _norm(r0)
         if n0 == 0.0:
             return np.zeros(len(self.t))
         pred = np.exp(-self.t)[:, None] * r0[None, :]
@@ -214,13 +216,14 @@ def direction_deviation(traj: Trajectory) -> float:
     integration error.
     """
     r0 = traj.residuals[0]
-    n0 = float(np.linalg.norm(r0))
+    n0 = _norm(r0)
     if n0 == 0.0:
         return 0.0
-    norms = np.linalg.norm(traj.residuals, axis=1)
-    keep = norms > 0.0
-    cosang = (traj.residuals[keep] @ r0) / (norms[keep] * n0)
-    return float(np.arccos(np.clip(cosang, -1.0, 1.0)).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(traj.residuals, axis=1)
+        keep = norms > 0.0
+        cosang = (traj.residuals[keep] @ r0) / (norms[keep] * n0)
+        return float(np.arccos(np.clip(cosang, -1.0, 1.0)).max())
 
 
 # Dormand-Prince 5(4) coefficients.  The fifth-order solution is propagated;
@@ -261,11 +264,11 @@ _MAX_FACTOR = 5.0
 _H_MIN = 1e-14
 _EPS = float(np.finfo(float).eps)
 
-# The approach leg (_approach_then_polish: solve_inverse and every basin
-# scan cell) hands off to Newton once the residual is this share of its
-# initial norm.  On non-injective maps the flow picks the preimage; Newton
-# started too far out can land on another one (seen on complex exp at 0.5).
-# 1e-2 keeps a wide margin.  The flow to it runs at abs_tol = rel_tol =
+# The approach leg of _flow_then_polish (solve_inverse and every basin scan
+# cell) hands off to Newton once the residual is this share of its initial
+# norm.  On non-injective maps the flow picks the preimage; Newton started
+# too far out can land on another one (seen on complex exp at 0.5).  1e-2
+# keeps a wide margin.  The flow to it runs at abs_tol = rel_tol =
 # _HANDOFF**2: the decay oracle (10*rel_tol of the residual per step) then
 # checks every step to a tenth of the share at which it hands off.  That
 # takes a ninth of the accepted steps the default 1e-10 takes (2469 against
@@ -275,9 +278,10 @@ _POLISH_STEPS = 8  # most Newton steps of one _newton_polish
 
 # The path tolerance: runs that decide where the flow goes, not the digits
 # of where it ends.  Basin scans run their approach legs at it, and
-# solve_inverse runs its leg at it or looser.  Neither outputs the stepper's
-# digits: Newton replaces a converged leg's, and a scan's t_conv comes from
-# the decay identity, not from the step at which the run stopped.
+# solve_inverse runs its leg (_flow_then_polish's ``near``) at it or looser.
+# Neither outputs the stepper's digits: Newton replaces a converged leg's,
+# and a scan's t_conv comes from the decay identity, not from the step at
+# which the run stopped.
 SCAN_OPTIONS = FlowOptions(abs_tol=_HANDOFF**2, rel_tol=_HANDOFF**2)
 
 
@@ -573,73 +577,52 @@ def _norm(r) -> float:
         return float(np.linalg.norm(r))
 
 
-def _flow_then_polish(m: C1Map, start, target,
-                      opts: FlowOptions) -> tuple[Trajectory, np.ndarray | None]:
-    """The forward flow at ``opts``, then the Newton polish from its end
-    point, which is within opts.residual_tol: (trajectory, x), with x None
-    when the flow did not converge."""
-    traj = integrate(m, start, target, opts, Direction.FORWARD)
-    if traj.status is not FlowStatus.CONVERGED:
-        return traj, None
-    return traj, _newton_polish(m, traj.final_state, target, opts.residual_tol)[0]
+def _flow_then_polish(m: C1Map, start, target, opts: FlowOptions,
+                      near: FlowOptions | None = None, r0: float = 0.0
+                      ) -> tuple[Trajectory, np.ndarray | None, float]:
+    """The one way a run reaches a polished answer: (trajectory, x,
+    ||f(x) - y*||), or (trajectory, None, its final residual norm) when the
+    flow at ``opts`` does not converge.
 
-
-def _approach_then_polish(m: C1Map, x0: np.ndarray, target: np.ndarray,
-                          opts: FlowOptions, r0: float, run=None
-                          ) -> tuple[Trajectory, np.ndarray | None, float]:
-    """The approach leg, then the Newton polish: the forward flow at ``opts``
-    from x0 until the residual is within max(opts.residual_tol, _HANDOFF *
-    r0), with r0 = ||f(x0) - y*||, then _newton_polish from its end toward
-    opts.residual_tol.  Returns (leg, x, ||f(x) - y*||), or (leg, None, the
-    leg's final residual norm) when the leg did not converge.
-
-    The leg raises only residual_tol, which only the stop test reads, so it
-    is the flow at ``opts`` step for step up to where it stops: a leg that
-    ends non-converged is that whole flow.  ``run`` is the integrator,
-    integrate by default; a caller in another module passes the integrate
-    it imports, so a wrapper installed on that name sees the leg.
+    The leg flows forward at ``near`` (default ``opts``) until the residual
+    is within max(opts.residual_tol, _HANDOFF * r0), with r0 = ||f(start) -
+    y*|| or 0 for the full flow.  A converged leg is Newton-polished toward
+    opts.residual_tol.  The leg raises only residual_tol, which only the
+    stop test reads, so at ``near == opts`` it is the full flow step for step
+    up to where it stops, and its failure is the answer; a leg that is the
+    full flow is never run again.  Any other miss runs the full flow at
+    ``opts`` and the same polish.
     """
-    leg_opts = opts
+    near = near or opts
+    leg_opts = near
     handoff = _HANDOFF * r0
     # an overflowed initial residual (inf) leaves the stop test as it is
     if opts.residual_tol < handoff < math.inf:
-        leg_opts = replace(opts, residual_tol=handoff)
-    leg = (run or integrate)(m, x0, target, leg_opts, Direction.FORWARD)
-    if leg.status is not FlowStatus.CONVERGED:
+        leg_opts = replace(near, residual_tol=handoff)
+    leg = integrate(m, start, target, leg_opts, Direction.FORWARD)
+    if leg.status is FlowStatus.CONVERGED:
+        x, rnorm = _newton_polish(m, leg.final_state, target, opts.residual_tol)
+        if rnorm <= opts.residual_tol or leg_opts == opts:
+            return leg, x, rnorm
+    elif near == opts:
         return leg, None, leg.final_residual_norm
-    return (leg, *_newton_polish(m, leg.final_state, target, opts.residual_tol))
+    return _flow_then_polish(m, start, target, opts)
 
 
 def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> np.ndarray:
-    """Solve f(x) = y* globally: flow from ``start`` to the neighbourhood of
-    the solution, then finish with guarded Newton.
+    """Solve f(x) = y* globally: x with ||f(x) - y*|| <= residual_tol.
 
-    Returns x with ||f(x) - y*|| <= residual_tol.  Raises FlowFailure
-    (carrying the trajectory) if the flow ends in any non-converged status.
-    The flow only has to carry x into the basin of the preimage it leads
-    to, so it runs at the path tolerance SCAN_OPTIONS (or the caller's, if
-    looser) and only until the residual is _HANDOFF times its initial norm
-    (or residual_tol, if that is larger): _approach_then_polish.  The Newton
-    polish to the caller's residual_tol then replaces the flow's digits
-    quadratically; they are never output.  On any miss (that run ending
-    non-converged, residual_tol not reached) the full flow runs from
-    ``start`` at ``opts``, followed by the same polish, so the answer and
-    any FlowFailure are those of the full flow; a run at the caller's own
-    tolerances that ends non-converged already is the full flow, and its
-    FlowFailure is raised at once.  CLI ``solve`` still reports the
-    full-tolerance trajectory.
+    The flow runs at the path tolerance SCAN_OPTIONS (or the caller's, if
+    looser) and hands off to guarded Newton (_flow_then_polish), so the
+    answer and any FlowFailure (carrying the trajectory) are the full
+    flow's at ``opts``.
     """
     opts = opts or FlowOptions()
     x0 = as_vector(start, m.dim)
     target = as_vector(target, m.dim)
     near = replace(opts, abs_tol=max(opts.abs_tol, SCAN_OPTIONS.abs_tol),
                    rel_tol=max(opts.rel_tol, SCAN_OPTIONS.rel_tol))
-    leg, x, rnorm = _approach_then_polish(m, x0, target, near, _norm(m.eval(x0) - target))
-    if x is not None and rnorm <= opts.residual_tol:
-        return x
-    if x is None and near == opts:
-        raise FlowFailure(leg)
-    traj, x = _flow_then_polish(m, x0, target, opts)
+    traj, x, _ = _flow_then_polish(m, x0, target, opts, near, _norm(m.eval(x0) - target))
     if x is None:
         raise FlowFailure(traj)
     return x

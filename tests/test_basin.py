@@ -11,7 +11,13 @@ from newtonflow.basin import (
     load_grid_records,
     scan_basin,
 )
-from newtonflow.flow import FlowOptions, FlowStatus, _approach_then_polish, integrate
+from newtonflow.flow import (
+    FlowOptions,
+    FlowStatus,
+    _flow_then_polish,
+    _newton_polish,
+    integrate,
+)
 from newtonflow.maps import C1Map, builtin
 
 ZAMP = builtin("zampieri-ex5")
@@ -95,7 +101,7 @@ def test_scan_step_count_stays_below_the_pi_controllers(monkeypatch):
         steps.append(traj.steps)
         return traj
 
-    monkeypatch.setattr("newtonflow.basin.integrate", spy)
+    monkeypatch.setattr("newtonflow.flow.integrate", spy)
     grid = scan_basin(ZAMP, (0.0, 0.0), (-4, 4, -4, 4), 17, workers=1)
     assert grid.status_counts() == {"converged": 17 * 17}
     assert len(steps) == 17 * 17
@@ -110,7 +116,7 @@ def _spy_scan_runs(monkeypatch) -> list:
         runs.append(integrate(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr("newtonflow.basin.integrate", spy)
+    monkeypatch.setattr("newtonflow.flow.integrate", spy)
     return runs
 
 
@@ -162,7 +168,7 @@ def test_scan_agrees_with_the_full_flow_cell_by_cell():
 def test_a_cell_whose_polish_misses_is_the_full_flow(monkeypatch):
     # (x^3, y) toward 0: guarded Newton only thirds x per step, so eight
     # steps from the handoff point miss residual_tol, and the full flow at
-    # the scan's options, run after the leg, decides the cell
+    # the scan's options, run after the leg and polished, decides the cell
     m = C1Map("x-cubed-y", 2, lambda x: np.array((x[0] ** 3, x[1])),
               lambda x: np.array(((3.0 * x[0] ** 2, 0.0), (0.0, 1.0))))
     runs = _spy_scan_runs(monkeypatch)
@@ -172,8 +178,16 @@ def test_a_cell_whose_polish_misses_is_the_full_flow(monkeypatch):
     tol = SCAN_OPTIONS.residual_tol
     for full, residual, t_conv in zip(runs[1::2], grid.final_residual.ravel(),
                                       grid.t_conv.ravel()):
-        assert residual == full.final_residual_norm
+        assert residual == _newton_polish(m, full.final_state, full.target, tol)[1] <= tol
         assert t_conv == math.log(np.linalg.norm(full.residuals[0]) / tol)
+
+
+def test_cells_whose_residual_norm_overflows_are_quiet():
+    # near x = 709 zampieri-ex5's residual is ~1e307: its norm is inf, and
+    # tier-1 turns the RuntimeWarning np.linalg.norm would emit into an error
+    grid = scan_basin(ZAMP, (0.0, 0.0), (700, 709, -1, 1), 2, workers=1)
+    assert grid.status_counts() == {"horizon-reached": 4}
+    assert np.isinf(grid.final_residual).all() and np.isnan(grid.t_conv).all()
 
 
 def test_scan_deterministic_across_worker_counts():
@@ -199,7 +213,7 @@ def test_converged_cells_reproduce_under_rerun():
             # a converged cell reports the residual of the Newton-polished
             # end of its approach leg, not of the full run's last step
             center = np.array((cx[i], cy[j]))
-            _, x, rnorm = _approach_then_polish(ZAMP, center, target, SCAN_OPTIONS, r0)
+            _, x, rnorm = _flow_then_polish(ZAMP, center, target, SCAN_OPTIONS, r0=r0)
             assert x is not None and rnorm == grid.final_residual[i, j] <= tol
             t_conv = grid.t_conv[i, j]
             assert t_conv == (math.log(r0 / tol) if r0 > tol else 0.0)

@@ -346,7 +346,7 @@ def test_solve_inverse_failure_wraps_trajectory():
 def _full_flow_solve(m, target, start):
     """The solve without the handoff: the flow at the full FlowOptions, then
     the Newton polish."""
-    traj, x = _flow_then_polish(m, start, target, FlowOptions())
+    traj, x, _ = _flow_then_polish(m, start, target, FlowOptions())
     if x is None:
         raise FlowFailure(traj)
     return x
@@ -618,6 +618,19 @@ def test_solve_inverse_residual_norm_overflow_is_quiet():
     target = (0.021216980925771622, 0.021290889229831217)
     x = solve_inverse(COMPLEX_EXP, target, (1.9139749922695364, -2.4347773604374323))
     assert np.linalg.norm(COMPLEX_EXP.eval(x) - target) <= FlowOptions().residual_tol
+
+
+def test_a_trajectory_whose_residual_norm_overflows_is_quiet():
+    # from x = 707 zampieri-ex5's residual is ~1e307, whose square overflows:
+    # its norm reads inf and the drift and angle NaN, without the
+    # RuntimeWarning tier-1 turns into an error
+    with pytest.raises(FlowFailure) as ei:
+        solve_inverse(ZAMP, ZAMP.eval((0.0, 0.0)), (707.0, 0.5))
+    traj = ei.value.trajectory
+    summary = traj.summary()
+    assert summary["status"] == "horizon-reached"
+    assert summary["final_residual"] == math.inf and math.isnan(summary["max_drift"])
+    assert math.isnan(direction_deviation(traj))
 
 
 def test_newton_polish_refuses_a_step_whose_residual_norm_overflows():
