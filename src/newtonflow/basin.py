@@ -109,7 +109,7 @@ def _scan_cell(m: C1Map, center, target, opts: FlowOptions):
     _flow_then_polish at ``opts``, with the approach leg only where the
     exact flow reaches residual_tol before t_max."""
     tol = opts.residual_tol
-    r0 = _norm(m.eval(center) - target)
+    r0 = _norm((m.eval(center) - target).tolist())
     t_conv = math.log(r0 / tol) if r0 > tol else 0.0
     traj, x, rnorm = _flow_then_polish(m, center, target, opts,
                                        r0=r0 if t_conv < opts.t_max else 0.0)

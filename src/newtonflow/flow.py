@@ -20,6 +20,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -102,18 +103,22 @@ class Trajectory:
 
     @property
     def final_residual_norm(self) -> float:
-        return _norm(self.residuals[-1])
+        return _norm(self.residuals[-1].tolist())
 
     @np.errstate(over="ignore", invalid="ignore")
     def drift_profile(self) -> np.ndarray:
-        """Per-sample deviation ||r(t) - e^{-t} r(0)|| / ||r(0)||; NaN where
-        ||r(0)|| overflows."""
+        """Per-sample deviation ||r(t) - e^{-t} r(0)|| / ||r(0)||.  Both norms
+        are taken after scaling by the power of two that brings the largest
+        |component| of r(0) into [1/2, 1), which is exact: a residual whose
+        square overflows still gives a finite drift."""
         r0 = self.residuals[0]
-        n0 = _norm(r0)
-        if n0 == 0.0:
+        big = float(np.abs(r0).max())
+        if big == 0.0:
             return np.zeros(len(self.t))
+        e = -math.frexp(big)[1]
         pred = np.exp(-self.t)[:, None] * r0[None, :]
-        return np.linalg.norm(self.residuals - pred, axis=1) / n0
+        dev = np.linalg.norm(np.ldexp(self.residuals - pred, e), axis=1)
+        return dev / _norm(np.ldexp(r0, e).tolist())
 
     def summary(self) -> dict:
         return {
@@ -216,34 +221,34 @@ def direction_deviation(traj: Trajectory) -> float:
     integration error.
     """
     r0 = traj.residuals[0]
-    n0 = _norm(r0)
+    n0 = _norm(r0.tolist())
     if n0 == 0.0:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(traj.residuals, axis=1)
         keep = norms > 0.0
-        cosang = (traj.residuals[keep] @ r0) / (norms[keep] * n0)
+        # products and sums as ufuncs, not a BLAS product: no FMA
+        cosang = (traj.residuals[keep] * r0).sum(axis=1) / (norms[keep] * n0)
         return float(np.arccos(np.clip(cosang, -1.0, 1.0)).max())
 
 
-# Dormand-Prince 5(4) coefficients.  The fifth-order solution is propagated;
-# row E is (b5 - b4), the embedded error weights.  Stage 7 sits at the step
-# endpoint (FSAL), which also hands us the candidate residual for free.
-_A_ROWS = [
-    np.array(row)
-    for row in (
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    )
-]
-_E = np.array(
-    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince 5(4) coefficients as float tuples.  Row i of _TABLEAU
+# combines k_1..k_i into stage i + 1; its last row is the fifth-order
+# solution, which is propagated.  _ERR_WEIGHTS is (b5 - b4), the embedded
+# error weights.  Stage 7 sits at the step endpoint (FSAL), which also hands
+# us the candidate residual for free.
+_TABLEAU = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+_ERR_WEIGHTS = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# the same as arrays, for the stage sums of maps with n >= 3
+_A_ROWS = [np.array(row) for row in ((),) + _TABLEAU]
+_E = np.array(_ERR_WEIGHTS)
 
 # Step-size control.  A step the error estimate rejects scales h by
 # _SAFETY * err^(-1/5) within [0.1, 1]; one the decay oracle or a failed
@@ -305,20 +310,22 @@ def integrate(
     target = as_vector(target, m.dim)
     sgn = 1.0 if direction is Direction.FORWARD else -1.0
     oracle_tol = 10.0 * opts.rel_tol
-    tnorm = float(np.linalg.norm(target))
+    tl = target.tolist()
+    tnorm = _norm(tl)
 
     fn = m.fn
     jacf = m.jac_or_fd
     dim = m.dim
-    point = m.point if dim <= 2 else None
-    selfdot = _selfdot1 if dim == 1 else _selfdot
+    point = m.point
+    if dim <= 2 and point is None:
+        point = partial(_fn_jac_point, fn, jacf)
 
     fx = m.eval(x)  # validated once; map errors at the seed raise to the caller
-    r = fx - target
-    rnorm = float(np.linalg.norm(r))
-
     # states and residuals are kept as lists of floats, one list per sample
-    xl, rl = x.tolist(), r.tolist()
+    # (not tuples: a run's freed 2-tuples stay on CPython's tuple free list,
+    # which kept about 1 MB of pools resident across verify-ex5 passes)
+    xl, rl = x.tolist(), (fx - target).tolist()
+    rnorm = _norm(rl)
     ts = [0.0]
     xs = [xl]
     rs = [rl]
@@ -342,16 +349,14 @@ def integrate(
     # that fails the singularity rule (non-finite entries included) raises
     # SingularError.
     solve = linalg._solve_raw
-    k = np.empty((7, dim))
     try:
-        # FSAL: each accepted step hands k[6] on to k[0]
-        k[0] = solve(jacf(x), [-v for v in rl])
+        # FSAL: each accepted step hands its last stage on as k0
+        k0 = tuple(map(float, solve(jacf(x), [-v for v in rl])))
     except (SingularError, NonFiniteError, OverflowError):
         return finish(FlowStatus.SINGULAR_JACOBIAN, 0)
 
     # start small; the controller corrects within a few steps
-    fmag = float(np.linalg.norm(k[0]))
-    h = min(1e-2 * (1.0 + float(np.linalg.norm(x))) / (1.0 + fmag), opts.t_max, 1.0)
+    h = min(1e-2 * (1.0 + _norm(xl)) / (1.0 + _norm(k0)), opts.t_max, 1.0)
 
     tau = 0.0
     accepted = 0
@@ -360,10 +365,14 @@ def integrate(
     last_exc: Exception | None = None
     abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
     blowup_sq = opts.blowup_radius * opts.blowup_radius
-    if point is not None:
-        tl = target.tolist()
-        solve1, solve2 = linalg._solve1, linalg._solve2
-    heads = [k[:i] for i in range(7)]  # views: k[:i] without a slice per stage
+    solve1, solve2 = linalg._solve1, linalg._solve2
+    if dim == 2:
+        t0, t1 = tl
+    elif dim == 1:
+        t0, = tl
+    else:
+        k = np.empty((7, dim))
+        heads = [k[:i] for i in range(7)]  # views: k[:i] without a slice per stage
 
     while True:
         if attempts >= opts.max_steps:
@@ -375,45 +384,56 @@ def integrate(
                 return finish(FlowStatus.SINGULAR_JACOBIAN, accepted)
             return finish(FlowStatus.STEP_FAILURE, accepted)
 
-        # Stage i is x + (sgn * h) * (A_i @ k[:i]) with k[i] = F; the last
-        # stage is x_new.  The step carries the time sign.  The stage sums
-        # and, from n = 2 on, the self-dots stay numpy calls: they are BLAS
-        # kernels with FMA, whose bits a plain float sum does not reproduce
-        # (at n = 1 a self-dot is one product, and runs on floats).  Every
-        # elementwise operation runs on Python floats, which round like
-        # numpy's ufuncs without their per-call cost on n-vectors.  A map
-        # with a point form, perturbed or not, runs the stages unrolled in
-        # floats: one point call gives f and f', and the residual and the
-        # solve stay floats.  Its values equal fn and jac bit for bit, so
-        # both loops step alike.
+        # Stage i + 1 is x + (sgn * h) * (A_i . (k_1..k_i)), and its field
+        # F = -f'^{-1} r the next k; the last stage is x_new.  The step
+        # carries the time sign.  At n <= 2 each stage is one point call and
+        # one 1x1 or 2x2 solve on Python floats, and the stage and error sums
+        # run left to right over the tableau's rows, as the self-dots below
+        # do: IEEE arithmetic alone fixes their bits, where a BLAS dot's
+        # depend on its kernel's summation order and FMA.
         sh = sgn * h
         try:
-            if point is None:
+            if dim == 2:
+                x0, x1 = xl
+                ks = [k0]
+                for row in _TABLEAU:
+                    d0 = d1 = 0.0
+                    for a, (p, q) in zip(row, ks):
+                        d0 += a * p
+                        d1 += a * q
+                    y0, y1 = x0 + sh * d0, x1 + sh * d1
+                    f0, f1, a00, a01, a10, a11 = point(y0, y1)
+                    r0, r1 = f0 - t0, f1 - t1
+                    ks.append(solve2(a00, a01, a10, a11, -r0, -r1))
+                e0 = e1 = 0.0
+                for a, (p, q) in zip(_ERR_WEIGHTS, ks):
+                    e0 += a * p
+                    e1 += a * q
+                yl, r_new, k_new, ek = [y0, y1], [r0, r1], ks[6], (e0, e1)
+            elif dim == 1:
+                x0, = xl
+                ks = [k0]
+                for row in _TABLEAU:
+                    d0 = 0.0
+                    for a, (p,) in zip(row, ks):
+                        d0 += a * p
+                    y0 = x0 + sh * d0
+                    f0, a00 = point(y0)
+                    r0 = f0 - t0
+                    ks.append(solve1(a00, -r0))
+                e0 = 0.0
+                for a, (p,) in zip(_ERR_WEIGHTS, ks):
+                    e0 += a * p
+                yl, r_new, k_new, ek = [y0], [r0], ks[6], (e0,)
+            else:
+                # n >= 3: the stage and error sums are numpy dots
+                k[0] = k0
                 for i in range(1, 7):
                     yl = [a + sh * d for a, d in zip(xl, _A_ROWS[i].dot(heads[i]).tolist())]
                     y = np.array(yl)
                     r_new = (fn(y) - target).tolist()
                     k[i] = solve(jacf(y), [-v for v in r_new])
-            elif dim == 2:
-                x0, x1 = xl
-                t0, t1 = tl
-                for i in range(1, 7):
-                    d0, d1 = _A_ROWS[i].dot(heads[i]).tolist()
-                    y0, y1 = x0 + sh * d0, x1 + sh * d1
-                    f0, f1, a00, a01, a10, a11 = point(y0, y1)
-                    r0, r1 = f0 - t0, f1 - t1
-                    k[i] = solve2(a00, a01, a10, a11, -r0, -r1)
-                yl, r_new = [y0, y1], [r0, r1]
-            else:
-                x0, = xl
-                t0, = tl
-                for i in range(1, 7):
-                    d0, = _A_ROWS[i].dot(heads[i]).tolist()
-                    y0 = x0 + sh * d0
-                    f0, a00 = point(y0)
-                    r0 = f0 - t0
-                    k[i] = solve1(a00, -r0)
-                yl, r_new = [y0], [r0]
+                k_new, ek = k[6].tolist(), _E.dot(k).tolist()
         except SAMPLE_ERRORS as exc:
             last_exc = exc
             last_rejected = True
@@ -425,8 +445,8 @@ def integrate(
         # x_new where np.maximum keeps it, but a NaN there comes from a
         # non-finite stage, which already makes its error term non-finite.
         err_vec = [sh * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
-                   for e, a, b in zip(_E.dot(k).tolist(), xl, yl)]
-        err = math.sqrt(selfdot(err_vec) / dim)
+                   for e, a, b in zip(ek, xl, yl)]
+        err = math.sqrt(_selfdot(err_vec) / dim)
         if not (err <= 1.0):
             last_exc = None
             last_rejected = True
@@ -438,7 +458,7 @@ def integrate(
         # evaluating f(x) - y* in floating point; below it the identity is
         # unobservable, not violated.
         decay = math.exp(-sgn * h)
-        viol = math.sqrt(abs(selfdot([a - decay * b for a, b in zip(r_new, rl)])))
+        viol = math.sqrt(abs(_selfdot([a - decay * b for a, b in zip(r_new, rl)])))
         allowed = oracle_tol * rnorm + 32.0 * _EPS * (tnorm + rnorm)
         ratio = viol / allowed
         if not (ratio <= 1.0):
@@ -449,16 +469,15 @@ def integrate(
 
         tau += h
         accepted += 1
-        xl, rl = yl, r_new
-        k[0] = k[6]
-        rnorm = math.sqrt(selfdot(rl))
+        xl, rl, k0 = yl, r_new, k_new
+        rnorm = math.sqrt(_selfdot(rl))
         ts.append(sgn * tau)
         xs.append(xl)
         rs.append(rl)
 
         if rnorm <= opts.residual_tol:
             return finish(FlowStatus.CONVERGED, accepted)
-        if selfdot(xl) >= blowup_sq:
+        if _selfdot(xl) >= blowup_sq:
             return finish(FlowStatus.BLOWUP, accepted)
         if tau >= opts.t_max * (1.0 - 1e-14):
             return finish(FlowStatus.HORIZON_REACHED, accepted)
@@ -472,15 +491,22 @@ def integrate(
         last_exc = None
 
 
-def _selfdot1(v: list) -> float:
-    """v . v of a one-float list: the one product numpy's dot computes."""
-    return v[0] * v[0]
+def _fn_jac_point(fn, jac, *y) -> tuple:
+    """The point form of a map with n <= 2 and none of its own: f and f' at
+    y from ``fn`` and ``jac`` (which may be finite differences), as floats.
+    integrate's float stages run every such map through it."""
+    x = np.array(y)
+    return (*np.asarray(fn(x), dtype=float).tolist(),
+            *np.asarray(jac(x), dtype=float).ravel().tolist())
 
 
-def _selfdot(v: list) -> float:
-    """v . v of a list of floats as numpy's BLAS dot computes it, with FMA."""
-    a = np.array(v)
-    return float(a.dot(a))
+def _selfdot(v) -> float:
+    """v . v of a sequence of Python floats, summed left to right: IEEE
+    arithmetic fixes its bits, where a BLAS dot's depend on its kernel."""
+    s = 0.0
+    for a in v:
+        s += a * a
+    return s
 
 
 def _newton_polish(m: C1Map, x, target,
@@ -525,7 +551,7 @@ class _ArrayNewton:
 
     def residual(self, x):
         r = self.m.eval(x) - self.target
-        return r, _norm(r)
+        return r, _norm(r.tolist())
 
     def step(self, x, r):
         return x - linalg.solve_dense(self.m.jacobian(x), r)
@@ -540,7 +566,6 @@ class _FloatNewton:
     def __init__(self, m: C1Map, target: np.ndarray, x: np.ndarray):
         self.m, self.target, self.x0 = m, target, x.tolist()
         self.tl = target.tolist()
-        self.norm = _norm1 if m.dim == 1 else _norm
         self.solve = linalg._solve1 if m.dim == 1 else linalg._solve2
         self.jac = None
 
@@ -556,7 +581,7 @@ class _FloatNewton:
             if not all(map(math.isfinite, f)):
                 raise NonFiniteError(self.m.name, x)
             r = [a - b for a, b in zip(f, self.tl)]
-        return r, self.norm(r)
+        return r, _norm(r)
 
     def step(self, x, r):
         if self.jac is None or not all(map(math.isfinite, self.jac)):
@@ -566,15 +591,10 @@ class _FloatNewton:
         return [a - s for a, s in zip(x, self.solve(*self.jac, *r))]
 
 
-def _norm1(r: list) -> float:
-    """_norm of a one-float list."""
-    return math.sqrt(_selfdot1(r))
-
-
 def _norm(r) -> float:
-    """||r||, inf where its square overflows, without a RuntimeWarning."""
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(r))
+    """||r|| of a sequence of Python floats (``ndarray.tolist()``), from
+    _selfdot: inf where its square overflows, quietly."""
+    return math.sqrt(_selfdot(r))
 
 
 def _flow_then_polish(m: C1Map, start, target, opts: FlowOptions,
@@ -622,7 +642,8 @@ def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> n
     target = as_vector(target, m.dim)
     near = replace(opts, abs_tol=max(opts.abs_tol, SCAN_OPTIONS.abs_tol),
                    rel_tol=max(opts.rel_tol, SCAN_OPTIONS.rel_tol))
-    traj, x, _ = _flow_then_polish(m, x0, target, opts, near, _norm(m.eval(x0) - target))
+    r0 = _norm((m.eval(x0) - target).tolist())
+    traj, x, _ = _flow_then_polish(m, x0, target, opts, near, r0)
     if x is None:
         raise FlowFailure(traj)
     return x

@@ -49,7 +49,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a vector, got shape {np.shape(x)}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -148,10 +148,19 @@ def _solve2(a00: float, a01: float, a10: float, a11: float,
     of the four entries (SingularError when it fails), then one row-pivoted
     elimination step.  Python float arithmetic gives the same IEEE results
     as numpy scalars, with no intermediate array.
+
+    Most matrices pass the rule by a margin that needs no singular values:
+    in the band where _extremes2 runs unscaled, with its determinant d,
+    sigma_max^2 <= ||A||_F^2, so ||A||_F^2 <= 1e12 |d| gives cond =
+    sigma_max^2 / |d| <= 1e12, ten times inside COND_LIMIT, which rounding
+    cannot cross.  Such a matrix is regular under the full rule too, so the
+    pre-test changes no decision and no value.
     """
-    smax, smin = _extremes2(a00, a01, a10, a11)
-    if not _regular(smax, smin):
-        raise SingularError(smax, smin)
+    fro2 = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+    if not (_in_band(fro2) and fro2 <= 1e12 * abs(a00 * a11 - a01 * a10)):
+        smax, smin = _extremes2(a00, a01, a10, a11)
+        if not _regular(smax, smin):
+            raise SingularError(smax, smin)
     if _pivot_swaps(a00, a10):
         return _eliminate(a10, a11, a00, a01, b1, b0)
     return _eliminate(a00, a01, a10, a11, b0, b1)

@@ -111,7 +111,7 @@ class C1Map:
             y = np.asarray(fn(x), dtype=float)
         except OverflowError:
             raise NonFiniteError(self.name, x) from None
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NonFiniteError(self.name, x)
         return y
 

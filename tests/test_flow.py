@@ -189,7 +189,7 @@ def test_both_time_directions_are_pinned():
     # are the 137 953 evaluations of f and of f' that fn and jac made alone.
     maps = [builtin(e.key) for e in registry_entries() if e.dim is not None]
     digest, calls = _pinned_runs(maps, np.random.default_rng(0))
-    assert digest == "1398d180ccd24d870c09f18fb13a124676d372a42fe9abe7ced9c873024d6d51"
+    assert digest == "415a04e547ec87a46f9be5d4a8a6daa4544a9bab619ba0bf36724b3ca2ac3f36"
     assert calls == {"fn": 120, "jac": 120, "point": 137833}
 
 
@@ -198,7 +198,7 @@ def test_lapack_solves_are_pinned():
     rng = np.random.default_rng(1)
     maps = [builtin("linear", a=a + 3.0 * np.eye(3)) for a in rng.standard_normal((3, 3, 3))]
     assert _pinned_runs(maps, rng) == (
-        "6e5baefa48043fa595daa852d25128b639c3dac9792f74a73fd59bb2e287a229",
+        "c32d5479caed92192e495523f0af3aabfb5bbcc8bd0a477e8368c84f1463d026",
         {"fn": 35460, "jac": 35460, "point": 0})
 
 
@@ -207,8 +207,8 @@ def test_finite_difference_jacobians_are_pinned():
     maps = [C1Map(f"{key}-fd", builtin(key).dim, builtin(key).fn)
             for key in ("zampieri-ex5", "rot-poly2d", "cubic1d")]
     assert _pinned_runs(maps, np.random.default_rng(2)) == (
-        "7e145dd3ee064aea63db08af0e2cc35325c3ed42c19d08ab65518c66671d5d18",
-        {"fn": 256491, "jac": 0, "point": 0})
+        "b79a535db0ee734fe7ed06c45788aa69e0cecb435fc7b4c2c8de78160fa1edf4",
+        {"fn": 256574, "jac": 0, "point": 0})
 
 
 def _holed_fn(bad, x):
@@ -240,17 +240,18 @@ def _point_twin(fn, jac, x0, x1):
 
 
 # Each run's status, accepted steps and sha256 prefix of t and states, the
-# same for each bad value, and its fn calls per bad value, recorded with the
-# fn/jac loop; the point-form twin must reproduce them.  The bands stop
-# every run at x[0] = 0.55.  The cubic map's Jacobian raises SingularError at
-# the non-finite stage after a bad value, so the run ends singular-jacobian;
-# the linear map's bad values reach the error test.
+# same for each bad value, and its fn calls per bad value, recorded from the
+# plain maps, whose fn and jac integrate adapts to a point form; the
+# point-form twin must reproduce them.  The bands stop every run at x[0] =
+# 0.55.  The cubic map's Jacobian raises SingularError at the non-finite
+# stage after a bad value, so the run ends singular-jacobian; the linear
+# map's bad values reach the error test.
 _BAD = (math.nan, math.inf, -math.inf)
 _HOLED_RUNS = {
-    ("cubic", 1): ("singular-jacobian", 29, "fb7ad6742b513de9", (336, 377, 377)),
-    ("cubic", 2): ("singular-jacobian", 36, "cda4d5400f8e18a0", (381, 381, 381)),
-    ("linear", 1): ("step-failure", 31, "c2fbcdfd6d167214", (439, 439, 439)),
-    ("linear", 2): ("step-failure", 34, "9a86ec27d6304e9c", (457, 457, 457)),
+    ("cubic", 1): ("singular-jacobian", 29, "2339cdd305aca2f5", (335, 375, 375)),
+    ("cubic", 2): ("singular-jacobian", 34, "959687d9c54ceb5c", (360, 360, 360)),
+    ("linear", 1): ("step-failure", 37, "a3be82efa253e96b", (475, 475, 475)),
+    ("linear", 2): ("step-failure", 39, "6438f89e464d131b", (487, 487, 487)),
 }
 
 
@@ -261,8 +262,7 @@ def test_non_finite_values_are_rejected_steps(form, dim, bad):
     # the flow from x[0] = 1.5 toward the preimage x[0] = -1 crosses the
     # band where fn is NaN or infinite: every step with a stage in it is
     # rejected, quietly, and no recorded sample is non-finite.  In dim 2 a
-    # twin with a point form takes integrate's planar stage loop, and must
-    # step as the fn/jac loop does.
+    # twin with its own point form must step as the plain map does.
     fn, jac = ((_holed_fn, _holed_jac) if form == "cubic"
                else (_holed_linear_fn, _twice_identity))
     m = C1Map("holed", dim, partial(fn, bad), jac)
@@ -483,7 +483,7 @@ def test_solve_inverse_answers_are_pinned():
                 digest.update(x.tobytes())
                 outcomes["solved"] = outcomes.get("solved", 0) + 1
     assert outcomes == {"solved": 47, "blowup": 2, "step-failure": 5, "singular-jacobian": 2}
-    assert digest.hexdigest() == "c0a0ac541c2cf2c4e7b91c3b2571e214f83afacfa7c3f9778ee89d38cad4e7fa"
+    assert digest.hexdigest() == "654a65240e5d716375c15ca8b5e939dc848a40dcbf22ad17badf220e836c0f01"
 
 
 def test_solve_inverse_ill_conditioned_linear_map():
@@ -620,17 +620,35 @@ def test_solve_inverse_residual_norm_overflow_is_quiet():
     assert np.linalg.norm(COMPLEX_EXP.eval(x) - target) <= FlowOptions().residual_tol
 
 
-def test_a_trajectory_whose_residual_norm_overflows_is_quiet():
-    # from x = 707 zampieri-ex5's residual is ~1e307, whose square overflows:
-    # its norm reads inf and the drift and angle NaN, without the
-    # RuntimeWarning tier-1 turns into an error
+def _overflowing_run():
+    """From x = 707 zampieri-ex5's residual is ~1e307, whose square
+    overflows; every residual of the run is finite."""
     with pytest.raises(FlowFailure) as ei:
         solve_inverse(ZAMP, ZAMP.eval((0.0, 0.0)), (707.0, 0.5))
-    traj = ei.value.trajectory
+    return ei.value.trajectory
+
+
+def test_a_trajectory_whose_residual_norm_overflows_is_quiet():
+    # its norm reads inf and the angle NaN, without the RuntimeWarning
+    # tier-1 turns into an error; the drift, taken on scaled residuals,
+    # stays finite
+    traj = _overflowing_run()
     summary = traj.summary()
     assert summary["status"] == "horizon-reached"
-    assert summary["final_residual"] == math.inf and math.isnan(summary["max_drift"])
+    assert summary["final_residual"] == math.inf and 0.0 <= summary["max_drift"] <= 1e-12
     assert math.isnan(direction_deviation(traj))
+
+
+def test_drift_is_scale_free_where_the_residual_norm_overflows():
+    # ||r(0)||^2 overflows, so dividing by ||r(0)|| would read every finite
+    # deviation as 0 and an overflowing one as NaN: the profile must be that
+    # of the same run with its residuals scaled by 2^-600, where no square
+    # overflows
+    traj = _overflowing_run()
+    scaled = dataclasses.replace(traj, residuals=np.ldexp(traj.residuals, -600))
+    profile = traj.drift_profile()
+    assert np.isfinite(profile).all() and profile.max() > 0.0
+    assert profile.tobytes() == scaled.drift_profile().tobytes()
 
 
 def test_newton_polish_refuses_a_step_whose_residual_norm_overflows():

@@ -3,11 +3,15 @@ recorded outputs.
 
 Each line of ``golden/certify.jsonl`` holds one argv, its exit code and its
 stdout with the timestamp masked.  Only maps of dimension <= 2 appear, whose
-linear algebra runs in closed form, so the bytes do not depend on the LAPACK
-build.  ``golden/options.json`` holds each subcommand's ``--help`` text at 80
-columns and its ``--dump-config`` output with only the required options
-given.  To record the commands of COMMANDS that the file does not hold yet,
-and the option file when it is missing, run
+solves run in closed form, so no line calls LAPACK.  The flow's sums run on
+Python floats, so the `solve` lines do not depend on the BLAS kernel either,
+and a test runs them on another one (`linear`'s f is the BLAS product a @ x,
+which is exact for the recorded matrix).  The certify and verify-ex5 lines
+take dot products through numpy, and so through the kernel's summation
+order and FMA.  ``golden/options.json`` holds each subcommand's ``--help``
+text at 80 columns and its ``--dump-config`` output with only the required
+options given.  To record the commands of COMMANDS that the file does not
+hold yet, and the option file when it is missing, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -159,6 +163,35 @@ def test_golden_commands_run_without_scipy():
     assert len(got) == len(_recorded())
     for run, record in zip(got, _recorded()):
         assert run == record, record["argv"]
+
+
+# The flow's pins for maps with n <= 2 and the `solve` lines hold whatever the
+# BLAS kernel: their sums run on Python floats.  A child interpreter runs
+# them with OpenBLAS forced to its Prescott kernels (SSE3, no FMA), which any
+# x86-64 runs; a numpy without OpenBLAS ignores the variable.  The n = 3
+# LAPACK pin keeps numpy's stage sums, and certify and verify-ex5 numpy's
+# dot products, so they are left out.
+_KERNEL_FREE_PINS = [
+    "test_flow.py::test_both_time_directions_are_pinned",
+    "test_flow.py::test_finite_difference_jacobians_are_pinned",
+    "test_flow.py::test_non_finite_values_are_rejected_steps",  # 12 runs
+    "test_flow.py::test_solve_inverse_answers_are_pinned",
+]
+
+
+def test_flow_pins_hold_on_another_blas_kernel():
+    import newtonflow
+
+    here = Path(__file__).parent
+    solves = [f"test_golden.py::test_seeded_output_matches_golden[{' '.join(r['argv'])}]"
+              for r in _recorded() if r["argv"][0] == "solve"]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=str(Path(newtonflow.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          *_KERNEL_FREE_PINS, *solves], cwd=here, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-4000:]
+    assert re.search(rf"\b{len(solves) + 15} passed\b", run.stdout), run.stdout[-4000:]
 
 
 def test_golden_file_lists_every_command():

@@ -1,8 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from newtonflow import linalg
 from newtonflow.linalg import (
     SingularError,
+    _eliminate,
+    _extremes2,
+    _pivot_swaps,
+    _regular,
+    _solve2,
     _solve_raw,
     _solve_rows,
     inverse_norm,
@@ -217,3 +225,65 @@ def test_solve_rows_matches_scalar_solve():
             assert x[i].tobytes() == ref.tobytes(), (i, a[i], b[i])
     # every kind of row is present: the bit-equal block path and all its exits
     assert 1000 <= ok.sum() < len(a) - 300
+
+
+def _solve2_full_rule(a00, a01, a10, a11, b0, b1):
+    """_solve2 without its pre-test: the singularity rule on _extremes2 of
+    every matrix, then the same elimination."""
+    smax, smin = _extremes2(a00, a01, a10, a11)
+    if not _regular(smax, smin):
+        raise SingularError(smax, smin)
+    if _pivot_swaps(a00, a10):
+        return _eliminate(a10, a11, a00, a01, b1, b0)
+    return _eliminate(a00, a01, a10, a11, b0, b1)
+
+
+def _solve2_cases():
+    """2x2 systems with cond log-uniform over [1, 1e16], a share of them in
+    the 1e12..1e13 band around the pre-test's bound, at scales 10^-200 ..
+    10^200; then zero, NaN and infinite entries in well-scaled ones."""
+    rng = np.random.default_rng(28)
+    n = 6000
+    log_cond = rng.uniform(0.0, 16.0, n)
+    log_cond[:1500] = rng.uniform(12.0, 13.0, 1500)
+    c, s = np.cos(rng.uniform(0, 2 * np.pi, (2, n))), np.sin(rng.uniform(0, 2 * np.pi, (2, n)))
+    u = np.stack([np.stack([c[0], -s[0]], -1), np.stack([s[0], c[0]], -1)], -2)
+    v = np.stack([np.stack([c[1], -s[1]], -1), np.stack([s[1], c[1]], -1)], -2)
+    a = u * np.stack([np.ones(n), 10.0 ** -log_cond], -1)[:, None, :] @ v
+    a *= 10.0 ** rng.uniform(-200.0, 200.0, n)[:, None, None]
+    b = rng.standard_normal((n, 2))
+    special = a[:600].reshape(600, 4) / np.abs(a[:600]).max(axis=(1, 2))[:, None]
+    for i, row in enumerate(special):
+        row[rng.integers(0, 4, 1 + i % 3)] = (0.0, math.nan, math.inf, -math.inf)[i % 4]
+    cases = [(*m.ravel().tolist(), *r.tolist()) for m, r in zip(a, b)]
+    return cases + [(*m.tolist(), *r.tolist()) for m, r in zip(special, b)]
+
+
+def _outcome(solve, case):
+    """The solution's bits, or the exception raised and its singular values."""
+    try:
+        return [repr(v) for v in solve(*case)]
+    except (SingularError, ArithmeticError) as exc:
+        return [type(exc).__name__, repr(getattr(exc, "sigma_max", None)),
+                repr(getattr(exc, "sigma_min", None))]
+
+
+def test_solve2_pre_test_decides_and_solves_as_the_full_rule(monkeypatch):
+    # the pre-test accepts where ||A||_F^2 <= 1e12 |det| without singular
+    # values; every decision, every error and every solved bit must be the
+    # full rule's
+    cases = _solve2_cases()
+    expected = [_outcome(_solve2_full_rule, c) for c in cases]
+    calls = []
+    monkeypatch.setattr(linalg, "_extremes2", lambda *a: calls.append(a) or _extremes2(*a))
+    got, settled = [], 0
+    for case in cases:
+        calls.clear()
+        got.append(_outcome(_solve2, case))
+        settled += not calls
+    assert got == expected
+    # both decisions occur, and the pre-test settles many regular matrices
+    # (in band, cond well below 1e12) but not those outside its reach
+    regular = sum(e[0] != "SingularError" for e in expected)
+    assert len(cases) - regular > 1000
+    assert 1000 < settled < regular
