@@ -66,7 +66,7 @@ def _cexp_jac(x):
 
 
 cexp = C1Map("complex-exp", 2, _cexp_fn, _cexp_jac)
-opts = FlowOptions(abs_tol=1e-8, rel_tol=1e-8, t_max=20.0)
+opts = FlowOptions(tol=1e-8, t_max=20.0)
 gc = scan_basin(cexp, (0.0, 0.0), (-2, 2, -2, 2), 21, opts=opts, workers=1)
 print("\ncomplex-exp, horizon t_max=20:", gc.status_counts())
 print("(statuses are reported as observed; slow escape and true blow-up are"

@@ -6,7 +6,7 @@ Conventions:
   row-major (``--A 1,0,0,1``), growth bounds are tagged families
   (``const:c``, ``affine:a,b``, ``poly:c0,c1,c2``);
 - a plain-text config file (``key = value`` lines, ``#`` comments) supplies
-  defaults, command-line flags win;
+  defaults for its subcommand's options, command-line flags win;
 - results are JSON on stdout (or ``--out``), with a ``schema`` version and a
   ``timestamp`` field; everything else is byte-reproducible given ``--seed``.
 
@@ -171,8 +171,7 @@ _MAP_FIELDS = [
 ]
 
 _FLOW_FIELDS = [
-    ("abs-tol", "1e-10", "integrator absolute tolerance", float),
-    ("rel-tol", "1e-10", "integrator relative tolerance", float),
+    ("tol", "1e-10", "integrator step tolerance", float),
     ("t-max", "40", "flow-time horizon", float),
     ("blowup-radius", "1e8", "norm threshold for blow-up", float),
     ("residual-tol", "1e-9", "convergence threshold on ||f(x)-y*||", float),
@@ -211,13 +210,13 @@ _FIELDS = {
         ("x0", None, "flow target seed point", _vec),
         ("box", "-4,4,-4,4", "scan box xmin,xmax,ymin,ymax", _box),
         ("res", "101", "grid resolution (nx or nx,ny)", _res),
-        ("workers", "", "process pool size (default: CPU count)", int),
+        ("workers", "", "process pool size (default: CPU count)", _positive_int),
         ("format", "csv", "grid export format: csv | json", _choice("csv", "json")),
         ("probe", "0", "injectivity probe pairs (0 = off)", int),
         ("grid-out", "", "write the per-cell grid here", str),
     ] + [
         # scans run at the path tolerance, flow.SCAN_OPTIONS
-        (name, "1e-4" if name in ("abs-tol", "rel-tol") else default, help_text, parse)
+        (name, "1e-4" if name == "tol" else default, help_text, parse)
         for name, default, help_text, parse in _FLOW_FIELDS
     ] + _COMMON,
     "verify-ex5": [
@@ -269,12 +268,20 @@ class RunConfig:
         return cls(command, values)
 
 
-def _resolve(command: str, cli_values: dict, config_values: dict) -> RunConfig:
+def _resolve(command: str, cli_values: dict, file_cfg: RunConfig) -> RunConfig:
+    """The flags, then the config file, then the defaults; a file may set
+    only the options of ``command``."""
+    if file_cfg.command not in ("", command):
+        raise UsageError(f"config file is for {file_cfg.command!r}, not {command!r}")
+    names = [name for name, *_ in _FIELDS[command]]
+    for key in file_cfg.values:
+        if key not in names:
+            raise UsageError(f"config key {key!r} is not an option of {command}")
     values = {}
     for name, default, *_ in _FIELDS[command]:
         v = cli_values.get(_key(name))
         if v is None:
-            v = config_values.get(name, default)
+            v = file_cfg.values.get(name, default)
         if v is None:
             raise UsageError(f"missing required option --{name}")
         values[name] = v
@@ -614,11 +621,11 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if not args.command:
             raise UsageError("a subcommand is required (see --help)")
-        config_values = {}
+        file_cfg = RunConfig(args.command, {})
         if args.config:
             with open(args.config) as fh:
-                config_values = RunConfig.from_text(fh.read()).values
-        cfg = _resolve(args.command, vars(args), config_values)
+                file_cfg = RunConfig.from_text(fh.read())
+        cfg = _resolve(args.command, vars(args), file_cfg)
         if args.dump_config:
             with open(args.dump_config, "w") as fh:
                 fh.write(cfg.to_text())

@@ -54,15 +54,14 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class FlowOptions:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
+    tol: float = 1e-10           # per-step error, absolute and relative to |x|
     t_max: float = 40.0          # e^{-40} ~ 4e-18: below double precision
     blowup_radius: float = 1e8
     residual_tol: float = 1e-9
     max_steps: int = 100_000
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "t_max", "blowup_radius", "residual_tol"):
+        for name in ("tol", "t_max", "blowup_radius", "residual_tol"):
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite")
         if self.max_steps < 1:
@@ -107,18 +106,14 @@ class Trajectory:
 
     @np.errstate(over="ignore", invalid="ignore")
     def drift_profile(self) -> np.ndarray:
-        """Per-sample deviation ||r(t) - e^{-t} r(0)|| / ||r(0)||.  Both norms
-        are taken after scaling by the power of two that brings the largest
-        |component| of r(0) into [1/2, 1), which is exact: a residual whose
-        square overflows still gives a finite drift."""
+        """Per-sample deviation ||r(t) - e^{-t} r(0)|| / ||r(0)||, from
+        _norm: a residual whose square overflows still gives a finite drift."""
         r0 = self.residuals[0]
-        big = float(np.abs(r0).max())
-        if big == 0.0:
+        n0 = _norm(r0.tolist())
+        if n0 == 0.0:
             return np.zeros(len(self.t))
-        e = -math.frexp(big)[1]
         pred = np.exp(-self.t)[:, None] * r0[None, :]
-        dev = np.linalg.norm(np.ldexp(self.residuals - pred, e), axis=1)
-        return dev / _norm(np.ldexp(r0, e).tolist())
+        return _row_norms(self.residuals - pred) / n0
 
     def summary(self) -> dict:
         return {
@@ -132,8 +127,8 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Columns: t, x_0..x_{n-1}, r_norm, drift."""
-        rnorm = np.linalg.norm(self.residuals, axis=1)
-        rows = np.column_stack((self.t, self.states, rnorm, self.drift_profile()))
+        rows = np.column_stack((self.t, self.states, _row_norms(self.residuals),
+                                self.drift_profile()))
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t"] + [f"x_{i}" for i in range(self.states.shape[1])]
@@ -218,17 +213,20 @@ def direction_deviation(traj: Trajectory) -> float:
 
     The residual direction is invariant along exact solutions (the image
     moves on the half-line through the target), so any rotation is
-    integration error.
+    integration error.  Each residual is first scaled by the power of two
+    that brings its largest |component| into [1/2, 1), so no product
+    overflows; the scaling is exact and leaves a finite angle's bits as
+    they are.
     """
-    r0 = traj.residuals[0]
-    n0 = _norm(r0.tolist())
-    if n0 == 0.0:
+    r = traj.residuals
+    if not r[0].any():
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(traj.residuals, axis=1)
+        u = np.ldexp(r, -np.frexp(np.abs(r).max(axis=1))[1][:, None])
+        norms = _row_norms(u)
         keep = norms > 0.0
         # products and sums as ufuncs, not a BLAS product: no FMA
-        cosang = (traj.residuals[keep] * r0).sum(axis=1) / (norms[keep] * n0)
+        cosang = (u[keep] * u[0]).sum(axis=1) / (norms[keep] * norms[0])
         return float(np.arccos(np.clip(cosang, -1.0, 1.0)).max())
 
 
@@ -268,16 +266,17 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _H_MIN = 1e-14
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 # The approach leg of _flow_then_polish (solve_inverse and every basin scan
 # cell) hands off to Newton once the residual is this share of its initial
 # norm.  On non-injective maps the flow picks the preimage; Newton started
 # too far out can land on another one (seen on complex exp at 0.5).  1e-2
-# keeps a wide margin.  The flow to it runs at abs_tol = rel_tol =
-# _HANDOFF**2: the decay oracle (10*rel_tol of the residual per step) then
-# checks every step to a tenth of the share at which it hands off.  That
-# takes a ninth of the accepted steps the default 1e-10 takes (2469 against
-# 22557 over perfbench's solve-batch, seed 5; 4452 at 1e-6).
+# keeps a wide margin.  The flow to it runs at tol = _HANDOFF**2: the
+# decay oracle (10*tol of the residual per step) then checks every step to
+# a tenth of the share at which it hands off.  That takes a ninth of the
+# accepted steps the default 1e-10 takes (2469 against 22557 over
+# perfbench's solve-batch, seed 5; 4452 at 1e-6).
 _HANDOFF = 1e-2
 _POLISH_STEPS = 8  # most Newton steps of one _newton_polish
 
@@ -287,7 +286,7 @@ _POLISH_STEPS = 8  # most Newton steps of one _newton_polish
 # Neither outputs the stepper's digits: Newton replaces a converged leg's,
 # and a scan's t_conv comes from the decay identity, not from the step at
 # which the run stopped.
-SCAN_OPTIONS = FlowOptions(abs_tol=_HANDOFF**2, rel_tol=_HANDOFF**2)
+SCAN_OPTIONS = FlowOptions(tol=_HANDOFF**2)
 
 
 @np.errstate(all="ignore")
@@ -309,7 +308,7 @@ def integrate(
     x = as_vector(start, m.dim)
     target = as_vector(target, m.dim)
     sgn = 1.0 if direction is Direction.FORWARD else -1.0
-    oracle_tol = 10.0 * opts.rel_tol
+    oracle_tol = 10.0 * opts.tol
     tl = target.tolist()
     tnorm = _norm(tl)
 
@@ -363,7 +362,7 @@ def integrate(
     attempts = 0
     last_rejected = False
     last_exc: Exception | None = None
-    abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
+    tol = opts.tol
     blowup_sq = opts.blowup_radius * opts.blowup_radius
     solve1, solve2 = linalg._solve1, linalg._solve2
     if dim == 2:
@@ -444,7 +443,7 @@ def integrate(
         # negated so NaN falls into the reject branch.  max() drops a NaN of
         # x_new where np.maximum keeps it, but a NaN there comes from a
         # non-finite stage, which already makes its error term non-finite.
-        err_vec = [sh * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
+        err_vec = [sh * e / (tol + tol * max(abs(a), abs(b)))
                    for e, a, b in zip(ek, xl, yl)]
         err = math.sqrt(_selfdot(err_vec) / dim)
         if not (err <= 1.0):
@@ -458,7 +457,7 @@ def integrate(
         # evaluating f(x) - y* in floating point; below it the identity is
         # unobservable, not violated.
         decay = math.exp(-sgn * h)
-        viol = math.sqrt(abs(_selfdot([a - decay * b for a, b in zip(r_new, rl)])))
+        viol = _norm([a - decay * b for a, b in zip(r_new, rl)])
         allowed = oracle_tol * rnorm + 32.0 * _EPS * (tnorm + rnorm)
         ratio = viol / allowed
         if not (ratio <= 1.0):
@@ -470,14 +469,16 @@ def integrate(
         tau += h
         accepted += 1
         xl, rl, k0 = yl, r_new, k_new
-        rnorm = math.sqrt(_selfdot(rl))
+        rnorm = _norm(rl)
         ts.append(sgn * tau)
         xs.append(xl)
         rs.append(rl)
 
         if rnorm <= opts.residual_tol:
             return finish(FlowStatus.CONVERGED, accepted)
-        if _selfdot(xl) >= blowup_sq:
+        # ||x||^2 >= R^2, and ||x|| >= R where R^2 overflows
+        if _selfdot(xl) >= blowup_sq and (blowup_sq < math.inf
+                                          or _norm(xl) >= opts.blowup_radius):
             return finish(FlowStatus.BLOWUP, accepted)
         if tau >= opts.t_max * (1.0 - 1e-14):
             return finish(FlowStatus.HORIZON_REACHED, accepted)
@@ -593,8 +594,22 @@ class _FloatNewton:
 
 def _norm(r) -> float:
     """||r|| of a sequence of Python floats (``ndarray.tolist()``), from
-    _selfdot: inf where its square overflows, quietly."""
-    return math.sqrt(_selfdot(r))
+    _selfdot.  Only where that sum of squares overflows or underflows is r
+    first scaled by the power of two that brings its largest |component|
+    into [1/2, 1), which is exact; inf only where the norm itself is."""
+    s = _selfdot(r)
+    if s < _TINY or s == math.inf:
+        e = math.frexp(max(map(abs, r), default=0.0))[1]
+        try:
+            return math.ldexp(math.sqrt(_selfdot([math.ldexp(a, -e) for a in r])), e)
+        except OverflowError:  # the norm itself overflows
+            return math.inf
+    return math.sqrt(s)  # NaN included
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """_norm of each row of a 2-D array."""
+    return np.array([_norm(row) for row in a.tolist()])
 
 
 def _flow_then_polish(m: C1Map, start, target, opts: FlowOptions,
@@ -640,8 +655,7 @@ def solve_inverse(m: C1Map, target, start, opts: FlowOptions | None = None) -> n
     opts = opts or FlowOptions()
     x0 = as_vector(start, m.dim)
     target = as_vector(target, m.dim)
-    near = replace(opts, abs_tol=max(opts.abs_tol, SCAN_OPTIONS.abs_tol),
-                   rel_tol=max(opts.rel_tol, SCAN_OPTIONS.rel_tol))
+    near = replace(opts, tol=max(opts.tol, SCAN_OPTIONS.tol))
     r0 = _norm((m.eval(x0) - target).tolist())
     traj, x, _ = _flow_then_polish(m, x0, target, opts, near, r0)
     if x is None:

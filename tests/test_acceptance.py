@@ -47,7 +47,7 @@ def _report(num, name, ok, detail=""):
 def test_01_decay_identity():
     t0 = time.perf_counter()
     traj = integrate(ZAMP, (1.0, 1.0), (1.0, 0.0),
-                     FlowOptions(abs_tol=1e-10, rel_tol=1e-10))
+                     FlowOptions(tol=1e-10))
     elapsed = time.perf_counter() - t0
     drift = decay_drift(traj)
     dirdev = direction_deviation(traj)

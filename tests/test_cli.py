@@ -215,6 +215,28 @@ def test_run_config_parse_errors():
         RunConfig.from_text("not a config line\n")
 
 
+@pytest.mark.parametrize("lines", [
+    "bogus = 7\n",
+    # the two tolerance keys a --dump-config file held before --tol
+    "abs-tol = 1e-3\n",
+    "rel-tol = 1e-3\n",
+    "abs_tol = 1e-3\n",
+    # an option of another subcommand, and a file written for another one
+    "x0 = 0,0\n",
+    "command = basin\n",
+])
+def test_a_config_file_sets_only_the_options_of_its_subcommand(tmp_path, capsys, lines):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("map = cubic1d\ntarget = 10\nstart = 0\n" + lines)
+    assert main(["solve", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    # the same file without the line runs
+    cfg_path.write_text("command = solve\nmap = cubic1d\ntarget = 10\nstart = 0\n")
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+
+
 def test_seeded_outputs_byte_identical(capsys):
     argv = ["certify", "--map", "zampieri-ex5", "--criterion", "coercive", "--seed", "9"]
     _, out1 = _run(capsys, argv)
@@ -263,7 +285,7 @@ def test_seeded_outputs_byte_identical(capsys):
      "--grid", "-2,2,-2,2,5"],
     ["certify", "--map", "zampieri-ex5", "--criterion", "hadamard", "--omega", "poly:inf",
      "--grid", "-2,2,-2,2,5"],
-    ["solve", "--map", "zampieri-ex5", "--target", "1,0", "--start", "1,1", "--abs-tol", "nan"],
+    ["solve", "--map", "zampieri-ex5", "--target", "1,0", "--start", "1,1", "--tol", "nan"],
     ["certify", "--map", "zampieri-ex5", "--criterion", "coercive", "--growth-factor=-inf"],
     ["certify", "--map", "zampieri-ex5", "--criterion", "coercive", "--growth-factor", "-inf"],
     ["certify", "--map", "zampieri-ex5", "--criterion", "cor22", "--a", "-nan",
@@ -290,6 +312,14 @@ def test_seeded_outputs_byte_identical(capsys):
     ["certify", "--map", "zampieri-ex5", "--criterion", "thm21", "--ball", "1,20.9"],
     ["certify", "--map", "zampieri-ex5", "--criterion", "thm21", "--sphere", "1,20.9"],
     ["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--res", "3,3,7", "--workers", "1"],
+    # a process pool needs a worker
+    ["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--res", "3", "--workers", "0"],
+    ["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--res", "3", "--workers", "-4"],
+    # one step tolerance: the abs/rel pair is gone
+    ["solve", "--map", "zampieri-ex5", "--target", "1,0", "--start", "1,1",
+     "--abs-tol", "1e-6"],
+    ["basin", "--map", "zampieri-ex5", "--x0", "0,0", "--res", "3", "--workers", "1",
+     "--rel-tol", "1e-6"],
 ])
 def test_bad_values_exit_one_without_traceback(capsys, argv):
     assert main(argv) == 1
@@ -377,6 +407,16 @@ def test_option_defaults_repeat_the_library_defaults(command, name, expected):
     [(default, parse)] = [(d, p) for n, d, _h, p in _FIELDS[command] if n == name]
     value = parse(default)
     assert value == expected and type(value) is type(expected)
+
+
+def test_readme_names_only_flags_the_cli_has():
+    # a renamed or removed option must take its README mentions with it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--([a-z][a-z0-9-]*)", section))
+    options = {name for fields in _FIELDS.values() for name, *_ in fields}
+    assert named, "no flags found in the Command line section"
+    assert named - options - {"config", "dump-config", "help"} == set()
 
 
 def test_import_does_not_load_scipy():

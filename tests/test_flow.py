@@ -96,7 +96,7 @@ def test_linear_flow_accuracy_follows_the_tolerance(tol):
     # max error / (1 + |x0|) under the PI controller: 7.9e-7, 2.3e-8, 4.4e-10,
     # 5.6e-12; under the elementary one: 5.9e-6, 6.1e-8, 6.4e-10, 6.5e-12
     rng = np.random.default_rng(7)
-    opts = FlowOptions(abs_tol=tol, rel_tol=tol)
+    opts = FlowOptions(tol=tol)
     for _ in range(20):
         m = builtin("linear", a=rng.standard_normal((2, 2)) + 2.0 * np.eye(2))
         x0 = rng.uniform(-3.0, 3.0, 2)
@@ -169,7 +169,7 @@ def _pinned_runs(maps, rng):
     for m in maps:
         m = _counted(m, calls)
         for start, target in rng.uniform(-2.0, 2.0, (6, 2, m.dim)):
-            for opts in (FlowOptions(t_max=3.0), FlowOptions(abs_tol=1e-6, rel_tol=1e-6)):
+            for opts in (FlowOptions(t_max=3.0), FlowOptions(tol=1e-6)):
                 for direction in Direction:
                     traj = integrate(m, start, target, opts, direction)
                     for a in (traj.t, traj.states, traj.residuals):
@@ -294,7 +294,7 @@ def test_drift_bound_scales_with_tolerance():
         (builtin("cubic1d"), (3.0,), (1.0,)),
     ]
     for tol in (1e-10, 1e-8, 1e-6):
-        opts = FlowOptions(abs_tol=tol, rel_tol=tol)
+        opts = FlowOptions(tol=tol)
         for m, start, target in cases:
             traj = integrate(m, start, target, opts)
             assert traj.status is FlowStatus.CONVERGED, (m.name, tol)
@@ -445,7 +445,7 @@ def test_a_failed_leg_at_the_callers_tolerances_is_the_failure(monkeypatch, key,
 
     monkeypatch.setattr(flow_mod, "integrate", spy)
     m = builtin(key)
-    opts = FlowOptions(abs_tol=1e-4, rel_tol=1e-4)
+    opts = FlowOptions(tol=1e-4)
     with pytest.raises(FlowFailure) as ei:
         solve_inverse(m, target, start, opts)
     full = integrate(m, start, target, opts)
@@ -571,12 +571,8 @@ def test_handoff_approach_at_handoff_squared_does_under_a_tenth_of_the_work():
     assert work[0] <= 0.09 * work[1], work
 
 
-@pytest.mark.parametrize("tols, approach", [
-    ((1e-10, 1e-10), (1e-4, 1e-4)),
-    ((1e-3, 1e-3), (1e-3, 1e-3)),
-    ((1e-3, 1e-8), (1e-3, 1e-4)),
-])
-def test_handoff_approach_keeps_looser_caller_tolerances(monkeypatch, tols, approach):
+@pytest.mark.parametrize("tol, approach", [(1e-10, 1e-4), (1e-3, 1e-3)])
+def test_handoff_approach_keeps_looser_caller_tolerances(monkeypatch, tol, approach):
     import newtonflow.flow as flow_mod
 
     seen = []
@@ -587,8 +583,8 @@ def test_handoff_approach_keeps_looser_caller_tolerances(monkeypatch, tols, appr
 
     monkeypatch.setattr(flow_mod, "integrate", spy)
     v = math.e / math.sqrt(2.0)
-    solve_inverse(ZAMP, (v, v), (0.0, 0.0), FlowOptions(abs_tol=tols[0], rel_tol=tols[1]))
-    assert (seen[0].abs_tol, seen[0].rel_tol) == approach
+    solve_inverse(ZAMP, (v, v), (0.0, 0.0), FlowOptions(tol=tol))
+    assert seen[0].tol == approach
 
 
 def test_a_failed_handoff_run_is_followed_by_the_full_path(monkeypatch):
@@ -628,15 +624,22 @@ def _overflowing_run():
     return ei.value.trajectory
 
 
-def test_a_trajectory_whose_residual_norm_overflows_is_quiet():
-    # its norm reads inf and the angle NaN, without the RuntimeWarning
-    # tier-1 turns into an error; the drift, taken on scaled residuals,
-    # stays finite
+def test_a_trajectory_whose_residual_norm_overflows_is_quiet(tmp_path):
+    # every residual's square overflows, but each norm is taken after an
+    # exact power-of-two scaling: the final residual is math.hypot's, the
+    # angle and the drift stay finite, and nothing emits the RuntimeWarning
+    # tier-1 turns into an error
     traj = _overflowing_run()
     summary = traj.summary()
     assert summary["status"] == "horizon-reached"
-    assert summary["final_residual"] == math.inf and 0.0 <= summary["max_drift"] <= 1e-12
-    assert math.isnan(direction_deviation(traj))
+    assert summary["final_residual"] == pytest.approx(math.hypot(*traj.residuals[-1]),
+                                                      rel=1e-15)
+    assert 0.0 <= summary["max_drift"] <= 1e-12
+    assert 0.0 <= direction_deviation(traj) <= 1e-6
+    traj.to_csv(tmp_path / "traj.csv")
+    r_norm = [float(line.split(",")[3])
+              for line in (tmp_path / "traj.csv").read_text().splitlines()[1:]]
+    np.testing.assert_allclose(r_norm, [math.hypot(*r) for r in traj.residuals], rtol=1e-15)
 
 
 def test_drift_is_scale_free_where_the_residual_norm_overflows():
@@ -649,6 +652,18 @@ def test_drift_is_scale_free_where_the_residual_norm_overflows():
     profile = traj.drift_profile()
     assert np.isfinite(profile).all() and profile.max() > 0.0
     assert profile.tobytes() == scaled.drift_profile().tobytes()
+    assert direction_deviation(traj) == direction_deviation(scaled)
+
+
+def test_a_start_whose_squared_norm_overflows_flows_to_the_horizon():
+    # ||x0||^2 = ||r0||^2 = 2.5e309 overflows: the decay oracle and the
+    # blow-up test must read the norms, not inf, and let the run step
+    lin = builtin("linear", a=np.eye(2))
+    traj = integrate(lin, (3e154, 4e154), (0.0, 0.0), FlowOptions(blowup_radius=1e300))
+    assert traj.status is FlowStatus.HORIZON_REACHED and traj.steps > 0
+    assert decay_drift(traj) <= 1e-6
+    # the default radius 1e8 is behind it at the first step
+    assert integrate(lin, (3e154, 4e154), (0.0, 0.0)).status is FlowStatus.BLOWUP
 
 
 def test_newton_polish_refuses_a_step_whose_residual_norm_overflows():
@@ -744,13 +759,18 @@ def test_trajectory_csv_and_summary(tmp_path):
 
 
 def test_options_validation():
+    # one step tolerance: the absolute/relative pair is gone
+    assert [f.name for f in dataclasses.fields(FlowOptions)] == [
+        "tol", "t_max", "blowup_radius", "residual_tol", "max_steps"]
+    with pytest.raises(TypeError):
+        FlowOptions(abs_tol=1e-6)
     with pytest.raises(ValueError):
-        FlowOptions(abs_tol=0.0)
+        FlowOptions(tol=0.0)
     with pytest.raises(ValueError):
         FlowOptions(t_max=-1.0)
     with pytest.raises(ValueError):
         FlowOptions(max_steps=0)
-    for name in ("abs_tol", "rel_tol", "t_max", "blowup_radius", "residual_tol"):
+    for name in ("tol", "t_max", "blowup_radius", "residual_tol"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=name):
                 FlowOptions(**{name: bad})

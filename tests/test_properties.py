@@ -1,23 +1,27 @@
-"""Flow invariants as properties over random linear maps.
+"""Flow invariants as properties over random maps.
 
 For f(x) = A x the Newton flow is x(t) = x* + e^{-t} (x0 - x*) with
 x* = A^{-1} y*, whatever A is, so every recorded state has a closed form.
+The flow is affine covariant: Q f and f(. + c) have f's field, moved by c.
 """
 
 import dataclasses
+import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from newtonflow.flow import (
+    FlowFailure,
     FlowOptions,
     FlowStatus,
     decay_drift,
     direction_deviation,
     integrate,
+    solve_inverse,
 )
-from newtonflow.maps import builtin
+from newtonflow.maps import C1Map, builtin
 
 # a run caught by the decay-oracle floor stall (the strict xfail
 # test_ill_conditioned_linear_map_converges) ends within this budget
@@ -56,3 +60,28 @@ def test_linear_flow_follows_its_closed_form(problem):
     norms = np.linalg.norm(traj.residuals, axis=1)
     head = norms >= 1e-3 * norms[0]
     assert direction_deviation(dataclasses.replace(traj, residuals=traj.residuals[head])) <= 1e-6
+
+
+_ZAMP = builtin("zampieri-ex5")
+# zampieri-ex5 through fn and jac only, so every stage takes numpy's path
+_F = C1Map("zampieri-ex5-fn", 2, _ZAMP.fn, _ZAMP.jac)
+_COORD = st.floats(-3.0, 3.0)
+_POINT = st.tuples(_COORD, _COORD).map(np.array)
+
+
+@given(_POINT, _POINT, _POINT, st.floats(0.0, 2.0 * math.pi))
+def test_solve_inverse_is_affine_covariant(x_true, start, c, angle):
+    # Q f (x) = Q y* and f(x + c) = y* have the preimages x* and x* - c of
+    # f(x) = y*: f'(x)^{-1} (f(x) - y*) is the same field for Q f, and the
+    # shifted map's flow from start - c is f's moved by -c
+    target = _F.fn(x_true)
+    try:
+        x_star = solve_inverse(_F, target, start)
+    except FlowFailure:
+        assume(False)
+    q = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    rotated = C1Map("rotated", 2, lambda x: q @ _F.fn(x), lambda x: q @ _F.jac(x))
+    shifted = C1Map("shifted", 2, lambda x: _F.fn(x + c), lambda x: _F.jac(x + c))
+    bound = 1e-8 * (1.0 + np.linalg.norm(x_star))
+    assert np.linalg.norm(solve_inverse(rotated, q @ target, start) - x_star) <= bound
+    assert np.linalg.norm(solve_inverse(shifted, target, start - c) - (x_star - c)) <= bound
