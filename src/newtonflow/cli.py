@@ -252,7 +252,6 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        command = ""
         values = {}
         for ln, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -261,11 +260,10 @@ class RunConfig:
             if "=" not in line:
                 raise UsageError(f"config line {ln}: expected 'key = value'")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key == "command":
-                command = val
-            else:
-                values[key] = val
-        return cls(command, values)
+            if key in values:
+                raise UsageError(f"config line {ln}: {key!r} is set twice")
+            values[key] = val
+        return cls(values.pop("command", ""), values)
 
 
 def _resolve(command: str, cli_values: dict, file_cfg: RunConfig) -> RunConfig:

@@ -20,7 +20,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -244,9 +243,6 @@ _TABLEAU = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _ERR_WEIGHTS = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# the same as arrays, for the stage sums of maps with n >= 3
-_A_ROWS = [np.array(row) for row in ((),) + _TABLEAU]
-_E = np.array(_ERR_WEIGHTS)
 
 # Step-size control.  A step the error estimate rejects scales h by
 # _SAFETY * err^(-1/5) within [0.1, 1]; one the decay oracle or a failed
@@ -312,12 +308,8 @@ def integrate(
     tl = target.tolist()
     tnorm = _norm(tl)
 
-    fn = m.fn
-    jacf = m.jac_or_fd
     dim = m.dim
-    point = m.point
-    if dim <= 2 and point is None:
-        point = partial(_fn_jac_point, fn, jacf)
+    point = m.float_point
 
     fx = m.eval(x)  # validated once; map errors at the seed raise to the caller
     # states and residuals are kept as lists of floats, one list per sample
@@ -350,7 +342,7 @@ def integrate(
     solve = linalg._solve_raw
     try:
         # FSAL: each accepted step hands its last stage on as k0
-        k0 = tuple(map(float, solve(jacf(x), [-v for v in rl])))
+        k0 = tuple(map(float, solve(m.jac_or_fd(x), [-v for v in rl])))
     except (SingularError, NonFiniteError, OverflowError):
         return finish(FlowStatus.SINGULAR_JACOBIAN, 0)
 
@@ -371,7 +363,6 @@ def integrate(
         t0, = tl
     else:
         k = np.empty((7, dim))
-        heads = [k[:i] for i in range(7)]  # views: k[:i] without a slice per stage
 
     while True:
         if attempts >= opts.max_steps:
@@ -385,11 +376,11 @@ def integrate(
 
         # Stage i + 1 is x + (sgn * h) * (A_i . (k_1..k_i)), and its field
         # F = -f'^{-1} r the next k; the last stage is x_new.  The step
-        # carries the time sign.  At n <= 2 each stage is one point call and
-        # one 1x1 or 2x2 solve on Python floats, and the stage and error sums
-        # run left to right over the tableau's rows, as the self-dots below
-        # do: IEEE arithmetic alone fixes their bits, where a BLAS dot's
-        # depend on its kernel's summation order and FMA.
+        # carries the time sign.  Each stage is one float_point call and one
+        # solve.  At n <= 2 the solve is 1x1 or 2x2 on Python floats, and the
+        # stage and error sums run left to right over the tableau's rows, as
+        # the self-dots below do: IEEE arithmetic alone fixes their bits,
+        # where a BLAS dot's depend on its kernel's summation order and FMA.
         sh = sgn * h
         try:
             if dim == 2:
@@ -428,11 +419,11 @@ def integrate(
                 # n >= 3: the stage and error sums are numpy dots
                 k[0] = k0
                 for i in range(1, 7):
-                    yl = [a + sh * d for a, d in zip(xl, _A_ROWS[i].dot(heads[i]).tolist())]
-                    y = np.array(yl)
-                    r_new = (fn(y) - target).tolist()
-                    k[i] = solve(jacf(y), [-v for v in r_new])
-                k_new, ek = k[6].tolist(), _E.dot(k).tolist()
+                    yl = [a + sh * d for a, d in zip(xl, np.dot(_TABLEAU[i - 1], k[:i]).tolist())]
+                    vals = point(*yl)
+                    r_new = [a - b for a, b in zip(vals[:dim], tl)]
+                    k[i] = solve(np.reshape(vals[dim:], (dim, dim)), [-v for v in r_new])
+                k_new, ek = k[6].tolist(), np.dot(_ERR_WEIGHTS, k).tolist()
         except SAMPLE_ERRORS as exc:
             last_exc = exc
             last_rejected = True
@@ -490,15 +481,6 @@ def integrate(
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         last_rejected = False
         last_exc = None
-
-
-def _fn_jac_point(fn, jac, *y) -> tuple:
-    """The point form of a map with n <= 2 and none of its own: f and f' at
-    y from ``fn`` and ``jac`` (which may be finite differences), as floats.
-    integrate's float stages run every such map through it."""
-    x = np.array(y)
-    return (*np.asarray(fn(x), dtype=float).tolist(),
-            *np.asarray(jac(x), dtype=float).ravel().tolist())
 
 
 def _selfdot(v) -> float:

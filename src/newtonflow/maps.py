@@ -2,7 +2,9 @@
 
 A C1Map bundles an evaluator, an optional closed-form Jacobian and, for
 n <= 2, an optional point form of the pair, which runs on floats and, for a
-planar map, on rows.
+planar map, on rows.  Every map, in every dimension, has a float form,
+``float_point``: its point form, or one built from the evaluator and the
+Jacobian (or finite differences); the flow evaluates its stages through it.
 The oracle map zampieri-ex5 also has closed forms of its inverse Jacobian,
 its Newton field toward f(0) and the radial product x . F(x), as the plain
 functions zampieri_inv_jac, zampieri_field and zampieri_radial, which the
@@ -91,10 +93,13 @@ class C1Map:
     ``point(x, ops=FLOAT_OPS)`` returns (f0, a00) at n = 1, and
     ``point(xi, eta, ops=FLOAT_OPS)`` returns (f0, f1, a00, a01, a10, a11) at
     n = 2.  On floats it equals ``fn`` and ``jac`` bit for bit and raises
-    where they raise; ``integrate`` and the Newton polish step with it.  A
-    planar one with ROW_OPS on a block's columns gives ``rows`` and
-    ``eval_rows``.  A map whose ``fn`` or ``jac`` is replaced must replace or
-    drop it.
+    where they raise; the Newton polish steps with it.  A planar one with
+    ROW_OPS on a block's columns gives ``rows`` and ``eval_rows``.  A map
+    whose ``fn`` or ``jac`` is replaced must replace or drop it.
+
+    ``float_point`` is the same call for every map and every n: ``point``
+    where the map has one, else ``fn`` and then ``jac_or_fd`` at the point.
+    ``integrate`` evaluates every stage through it.
     """
 
     name: str
@@ -150,6 +155,14 @@ class C1Map:
         f = np.empty((len(block), 2))
         f[:, 0], f[:, 1] = f0, f1
         return f, jac
+
+    @property
+    def float_point(self) -> Callable[..., tuple]:
+        """``point``, or the point form built from ``fn`` and ``jac_or_fd``:
+        f and f' at (x_0, ..., x_{n-1}) as one tuple of n + n^2 floats."""
+        if self.point is not None:
+            return self.point
+        return partial(_fn_jac_point, self.fn, self.jac_or_fd)
 
     @property
     def jac_or_fd(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -220,7 +233,8 @@ def fd_jacobian_check(m: C1Map, probes) -> float:
 # A built-in of dimension 1 or 2 states its formula once, as a point form;
 # Python floats round like numpy's ufuncs, so a planar one has the same bits
 # on floats and on rows.  Its fn and jac are the two adapters below, bound to
-# it with partial.
+# it with partial; _fn_jac_point is the reverse, float_point's form of a map
+# without one.
 def _point_fn(point, x):
     return np.array(point(*x.tolist())[:len(x)])
 
@@ -230,12 +244,15 @@ def _point_jac(point, x):
     return np.array(point(*x.tolist())[n:]).reshape(n, n)
 
 
-def _planar(name, form):
-    return C1Map(name, 2, partial(_point_fn, form), partial(_point_jac, form), point=form)
+def _fn_jac_point(fn, jac, *y) -> tuple:
+    """f and f' at y from ``fn`` and then ``jac``, as floats."""
+    x = np.array(y)
+    return (*np.asarray(fn(x), dtype=float).tolist(),
+            *np.asarray(jac(x), dtype=float).ravel().tolist())
 
 
-def _line(name, form):
-    return C1Map(name, 1, partial(_point_fn, form), partial(_point_jac, form), point=form)
+def _formed(name, dim, form):
+    return C1Map(name, dim, partial(_point_fn, form), partial(_point_jac, form), point=form)
 
 
 def _zampieri(xi, eta, ops=FLOAT_OPS):
@@ -328,7 +345,7 @@ def _build_linear(dim=None, a=None):
 def _build_rot_poly(eps=0.1):
     if not 0.0 < eps < math.inf:  # NaN fails too
         raise ValueError("eps must be positive and finite")
-    return _planar("rot-poly2d", partial(_rot_poly, eps))
+    return _formed("rot-poly2d", 2, partial(_rot_poly, eps))
 
 
 @dataclass(frozen=True)
@@ -347,14 +364,14 @@ _REGISTRY: dict[str, MapRegistryEntry] = {e.key: e for e in (
         "of R^2, not surjective (first component positive); ships closed-form "
         "inverse Jacobian, Newton field and radial product as oracles",
         "Zampieri (1992), nonsurjective planar example",
-        lambda: _planar("zampieri-ex5", _zampieri),
+        lambda: _formed("zampieri-ex5", 2, _zampieri),
     ),
     MapRegistryEntry(
         "arctan1d", 1,
         "x -> arctan x: injective onto (-pi/2, pi/2); inverse-derivative growth "
         "1 + x^2 defeats the Hadamard-Levy integral condition",
         "classic bounded counterexample for surjectivity criteria",
-        lambda: _line("arctan1d", _arctan),
+        lambda: _formed("arctan1d", 1, _arctan),
     ),
     MapRegistryEntry(
         "linear", None,
@@ -366,14 +383,14 @@ _REGISTRY: dict[str, MapRegistryEntry] = {e.key: e for e in (
         "cubic1d", 1,
         "x -> x + x^3: global diffeomorphism of R with f' = 1 + 3x^2 >= 1",
         "monotone scalar benchmark with a bisection-checkable inverse",
-        lambda: _line("cubic1d", _cubic),
+        lambda: _formed("cubic1d", 1, _cubic),
     ),
     MapRegistryEntry(
         "exp1d", 1,
         "x -> e^x: injective, not surjective; targets <= 0 make the Newton flow "
         "blow up",
         "blow-up detection benchmark",
-        lambda: _line("exp1d", _exp),
+        lambda: _formed("exp1d", 1, _exp),
     ),
     MapRegistryEntry(
         "rot-poly2d", 2,

@@ -1,17 +1,22 @@
 import ast
+import contextlib
 import dataclasses
 import importlib.util
 import inspect
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from newtonflow import basin, certify, cli, maps
 from newtonflow.cli import _FIELDS, RunConfig, UsageError, main
@@ -213,6 +218,8 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
 def test_run_config_parse_errors():
     with pytest.raises(UsageError):
         RunConfig.from_text("not a config line\n")
+    with pytest.raises(UsageError, match="^config line 3: 'target' is set twice$"):
+        RunConfig.from_text("target = 1\n# a comment\ntarget = 2\n")
 
 
 @pytest.mark.parametrize("lines", [
@@ -224,6 +231,10 @@ def test_run_config_parse_errors():
     # an option of another subcommand, and a file written for another one
     "x0 = 0,0\n",
     "command = basin\n",
+    # a key set twice: the last value used to win without a word
+    "target = 2\n",
+    "start=0\n",
+    "command = solve\ncommand = solve\n",
 ])
 def test_a_config_file_sets_only_the_options_of_its_subcommand(tmp_path, capsys, lines):
     cfg_path = tmp_path / "run.cfg"
@@ -521,3 +532,98 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     assert [getattr(owner, name) for owner, name in swapped] == before
     [span] = tracer.named("check_cor22")
     assert span.attrs["samples_used"] == 9 and tracer.eval_calls == 1
+
+
+# --- the CLI contract under any argv -----------------------------------------
+
+# Option values of every shape the parsers meet, all small, so every run is
+# cheap: counts, vectors, boxes, matrices, growth bounds, names, malformed
+# numbers and non-finite constants.
+_VALUES = ["0", "1", "3", "-1", "2.5", "1e400", "nan", "-inf", "inf", "x", "", "1,",
+           "0,0", "1,0", "0.5,-0.5", "-1,1,-1,1", "-1,1,-1,1,3", "1,3", "3,3,7", "2,1,0,3",
+           "const:1", "affine:1,1", "poly:1,0,1", "poly:1,nan", "wat:1",
+           "zampieri-ex5", "cubic1d", "linear", "rot-poly2d", "exp1d", "arctan1d",
+           "thm21", "cor22", "thm31", "hadamard", "coercive", "ball", "inverse-bound",
+           "logh", "logcoercive", "csv", "json"]
+# Every option name, and names no subcommand has.  --perturb-jacobian is left
+# out: a perturbed verify-ex5 runs its flow's whole 100000-step budget.
+_NAMES = sorted({name for fields in _FIELDS.values() for name, *_ in fields}
+                - {"perturb-jacobian"}) + ["bogus", "abs-tol", "Map"]
+# Caps on each subcommand's work, and (when drawn) options that make a
+# runnable command; a drawn flag given later overrides either, with one of
+# the small values above.
+_CHEAP = {
+    "solve": ["--max-steps", "300"],
+    "certify": ["--dirs", "1", "--count", "20", "--spc", "8"],
+    "basin": ["--res", "3", "--workers", "1", "--max-steps", "300"],
+    "verify-ex5": ["--samples", "20", "--grid-res", "5", "--positive-samples", "20"],
+    "list-maps": [],
+}
+_RUNNABLE = {
+    "solve": ["--map", "cubic1d", "--target", "2", "--start", "0"],
+    "certify": ["--map", "zampieri-ex5", "--criterion", "ball"],
+    "basin": ["--map", "zampieri-ex5", "--x0", "0,0"],
+    "verify-ex5": [],
+    "list-maps": [],
+}
+
+# a cheap value each of those options parses
+_GOOD = {flag[2:]: value for argv in (*_CHEAP.values(), *_RUNNABLE.values())
+         for flag, value in zip(argv[::2], argv[1::2])}
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, config text or None): a subcommand, its caps, then drawn flags."""
+    command = draw(st.sampled_from(sorted(_FIELDS)))
+    argv = [command, *_CHEAP[command]]
+    if draw(st.booleans()):
+        argv += _RUNNABLE[command]
+    # half the names are the subcommand's own
+    own = [name for name, *_ in _FIELDS[command] if name in _NAMES]
+    names = st.sampled_from(own or _NAMES) | st.sampled_from(_NAMES)
+    for name in draw(st.lists(names, max_size=4)):
+        good = _GOOD.get(name)
+        value = draw(st.sampled_from(_VALUES) | st.sampled_from([good] if good else _VALUES))
+        form = draw(st.sampled_from(("pair", "pair", "joined", "bare")))
+        if form == "pair":
+            argv += [f"--{name}", value]
+        elif form == "joined":
+            argv.append(f"--{name}={value}")
+        else:  # a missing value
+            argv.append(f"--{name}")
+    config = None
+    if draw(st.booleans()):
+        keys = names | st.just("command")
+        lines = draw(st.lists(st.tuples(keys, st.sampled_from(_VALUES + sorted(_FIELDS))),
+                              max_size=4))
+        config = "".join(f"{k} = {v}\n" for k, v in lines)
+    return argv, config
+
+
+def _no_constants(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@given(_argvs())
+def test_any_argv_keeps_the_cli_contract(case):
+    # exit code 0-5, stdout empty or strict JSON (one object per line for
+    # list-maps), and no traceback.  Runs in a scratch directory: drawn
+    # --out, --traj, --grid-out and --dump-config values are written there.
+    argv, config = case
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with contextlib.ExitStack() as stack:
+        os.chdir(stack.enter_context(tempfile.TemporaryDirectory()))
+        stack.callback(os.chdir, cwd)
+        if config is not None:
+            Path("run.cfg").write_text(config)
+            argv = [*argv, "--config", "run.cfg"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in range(6), argv
+    assert "Traceback" not in err.getvalue(), argv
+    text = out.getvalue()
+    docs = text.splitlines() if argv[0] == "list-maps" else [text] if text else []
+    for doc in docs:
+        json.loads(doc, parse_constant=_no_constants)

@@ -10,6 +10,7 @@ from newtonflow.maps import (
     FLOAT_OPS,
     ROW_OPS,
     C1Map,
+    DomainError,
     NonFiniteError,
     UnknownMapError,
     builtin,
@@ -385,11 +386,11 @@ def test_eval_rows_raises_like_the_row_loop():
     assert _raised(lambda: zamp.eval_rows([[0.0, np.nan]]))[0] is ValueError
 
 
-def _overflow_or_bytes(call):
+def _raised_or_bytes(call):
     try:
         return np.asarray(call(), dtype=float).tobytes()
-    except OverflowError:
-        return OverflowError
+    except (OverflowError, NonFiniteError, DomainError, ValueError) as exc:
+        return type(exc)
 
 
 # |x| where x^3 overflows, in both signs and on both sides of cbrt(max)
@@ -420,9 +421,9 @@ def _assert_point_is_fn_and_jac(m, edges):
                           np.reshape(edges, (-1, m.dim))))
     raised = 0
     for x in pts:
-        got = _overflow_or_bytes(lambda: m.point(*x.tolist()))
+        got = _raised_or_bytes(lambda: m.point(*x.tolist()))
         with np.errstate(all="ignore"):   # a perturbation scaling inf or past max
-            want = [_overflow_or_bytes(lambda: m.fn(x)), _overflow_or_bytes(lambda: m.jac(x))]
+            want = [_raised_or_bytes(lambda: m.fn(x)), _raised_or_bytes(lambda: m.jac(x))]
         if got is OverflowError:
             assert want == [OverflowError, OverflowError], x
             raised += 1
@@ -473,8 +474,43 @@ def test_line_point_forms_at_their_edges():
                 evaluate((x,))
 
 
+def _holed(x):
+    """x + x^3/10 per component, undefined on the band 0.45 < x[0] < 0.55."""
+    if 0.45 < x[0] < 0.55:
+        raise DomainError("in the hole")
+    return x + 0.1 * x**3
+
+
 def test_maps_without_a_point_form():
     zamp, cubic = builtin("zampieri-ex5"), builtin("cubic1d")
     assert C1Map("user", 2, zamp.fn, zamp.jac).point is None
     assert C1Map("user", 1, cubic.fn, cubic.jac).point is None
     assert all(builtin("linear", dim=n).point is None for n in (1, 2, 3))
+
+    # float_point is a built-in's own point form, and for a map without one
+    # fn and then jac_or_fd at the point, bit for bit, raising where they
+    # raise, in any dimension
+    for m in _registry_instances():
+        assert m.float_point is m.point or m.name == "linear"
+    holed = [C1Map("holed", n, _holed, lambda x: np.diag(1.0 + 0.3 * x**2)) for n in (1, 2, 3)]
+    pointless = [
+        (C1Map("user", 1, cubic.fn, cubic.jac), _CUBE_EDGES),
+        (C1Map("user", 2, zamp.fn, zamp.jac), ()),
+        (C1Map("fd", 2, builtin("rot-poly2d").fn), _CUBE_BAND),  # finite differences
+        (builtin("linear", a=[[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]]), ()),
+    ] + [(m, [0.5] * m.dim + [0.4] * m.dim) for m in holed]
+    coords = _row_points(600, seed=44).ravel()
+    for m, edges in pointless:
+        assert m.float_point.func is maps._fn_jac_point
+        pts = np.concatenate((coords[:len(coords) // m.dim * m.dim], np.ravel(edges)))
+        raised = set()
+        for x in pts.reshape(-1, m.dim):
+            with np.errstate(all="ignore"):
+                got = _raised_or_bytes(lambda: m.float_point(*x.tolist()))
+                want = _raised_or_bytes(lambda: (*m.fn(x), *m.jac_or_fd(x).ravel()))
+            assert got == want, (m.name, x)
+            if isinstance(got, type):
+                raised.add(got)
+        # finite differences refuse a non-finite point with ValueError
+        assert raised == {"holed": {DomainError}, "linear": set(),
+                          "fd": {OverflowError, ValueError}}.get(m.name, {OverflowError}), m.name

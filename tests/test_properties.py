@@ -3,16 +3,19 @@
 For f(x) = A x the Newton flow is x(t) = x* + e^{-t} (x0 - x*) with
 x* = A^{-1} y*, whatever A is, so every recorded state has a closed form.
 The flow is affine covariant: Q f and f(. + c) have f's field, moved by c.
+It is reversible: the backward flow for the same time returns to the start.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from newtonflow.flow import (
+    Direction,
     FlowFailure,
     FlowOptions,
     FlowStatus,
@@ -85,3 +88,31 @@ def test_solve_inverse_is_affine_covariant(x_true, start, c, angle):
     bound = 1e-8 * (1.0 + np.linalg.norm(x_star))
     assert np.linalg.norm(solve_inverse(rotated, q @ target, start) - x_star) <= bound
     assert np.linalg.norm(solve_inverse(shifted, target, start - c) - (x_star - c)) <= bound
+
+
+# The point-form maps, each also through fn and jac only (float_point's
+# adapter), and a 3x3 linear map, which has no point form
+_ROUND_TRIP_MAPS = [builtin(key) for key in ("zampieri-ex5", "rot-poly2d", "cubic1d")]
+_ROUND_TRIP_MAPS += [dataclasses.replace(m, point=None) for m in _ROUND_TRIP_MAPS]
+_ROUND_TRIP_MAPS.append(builtin("linear", a=[[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]]))
+
+
+@st.composite
+def round_trips(draw):
+    """(map, x0, y*, T): x0 and a preimage of y* in [-2, 2]^n, T in [0.1, 3]."""
+    m = draw(st.sampled_from(_ROUND_TRIP_MAPS))
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=m.dim, max_size=m.dim).map(np.array)
+    return m, draw(coords), m.eval(draw(coords)), draw(st.floats(0.1, 3.0))
+
+
+@given(round_trips())
+def test_backward_flow_returns_to_the_start(problem):
+    m, x0, target, horizon = problem
+    assume((m.eval(x0) != target).any())   # else it converges at once
+    opts = FlowOptions(t_max=horizon, residual_tol=1e-300)
+    forward = integrate(m, x0, target, opts)
+    assert forward.status is FlowStatus.HORIZON_REACHED
+    back = integrate(m, forward.states[-1], target, opts, Direction.BACKWARD)
+    assert back.status is FlowStatus.HORIZON_REACHED
+    assert back.t[-1] == pytest.approx(-horizon, rel=1e-12)
+    assert np.linalg.norm(back.states[-1] - x0) <= 1e-7 * (1.0 + np.linalg.norm(x0))
