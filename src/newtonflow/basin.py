@@ -6,8 +6,11 @@ belongs to the basin of x0 (for maps satisfying the global-inversion
 hypotheses the whole grid converges), and feed a pairwise injectivity
 falsification probe.
 
-Cells are independent tasks: the scan maps them over a process pool, which
-returns results in cell order, so worker count never changes the result.
+Cells are independent tasks.  A scan of at least _POOL_MIN_CELLS cells maps
+them over a process pool of up to ``workers`` processes, which returns
+results in cell order; a smaller one runs them in process, where the pool
+would cost more than it saves.  Neither the worker count nor the path
+changes the result.
 """
 
 from __future__ import annotations
@@ -35,6 +38,27 @@ from .maps import C1Map
 
 # ||f(x) - f(x')|| <= SEP_TOL ||x - x'|| flags a pair as an injectivity collision
 SEP_TOL = 1e-9
+
+# The smallest scan that runs on the process pool.  Serial against pooled
+# (workers=2) time of one zampieri-ex5 scan of the box +-4, median of 7
+# (3 at 101^2), on 2 vCPUs with numpy 2.4.6; CPU time counts the parent and
+# the joined workers:
+#
+#   cells    wall serial  wall pooled   CPU serial  CPU pooled
+#   9^2          0.025        0.043        0.025       0.043
+#   17^2         0.084        0.105        0.084       0.111
+#   19^2         0.142        0.093        0.141       0.174
+#   21^2         0.190        0.120        0.188       0.225
+#   25^2         0.193        0.132        0.193       0.254
+#   33^2         0.473        0.248        0.473       0.473
+#   49^2         1.134        0.521        1.133       0.985
+#   101^2        3.025        1.917        3.025       3.728
+#
+# Forking the pool and shipping its tasks costs a few hundredths of a
+# second.  In three such runs the wall-time break-even fell between 289 and
+# 441 cells, with the machine's load; the pool saved no CPU time below
+# 49^2.
+_POOL_MIN_CELLS = 400
 
 # the fields of one grid record, in order: the CSV header and the JSON cell keys
 COLUMNS = ("i", "j", "cx", "cy", "status", "t_conv", "final_residual")
@@ -129,8 +153,11 @@ def scan_basin(
     """One forward flow per cell center, targeting f(x0).
 
     ``box`` is (xmin, xmax, ymin, ymax); ``resolution`` an int or (nx, ny),
-    at least 2 per axis.  ``workers`` defaults to the CPU count; pass 1 to
-    force the serial path (required for maps that do not pickle).
+    at least 2 per axis.  ``workers`` is an upper bound on the processes
+    and defaults to the CPU count.  The cells run on a process pool only
+    when there are at least _POOL_MIN_CELLS of them and ``workers`` > 1,
+    and in process otherwise; pass 1 to force the serial path (required
+    for maps that do not pickle).  The result is the same either way.
     """
     if m.dim != 2:
         raise ValueError("basin scans are defined for planar maps only")
@@ -152,7 +179,7 @@ def scan_basin(
 
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers <= 1 or len(centers) < 64:
+    if workers <= 1 or len(centers) < _POOL_MIN_CELLS:
         results = list(map(scan, centers))
     else:
         # imported here: the pool's modules cost every other command start-up
@@ -193,6 +220,19 @@ class InjectivityReport:
         }
 
 
+def _pair_ratios(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||f(x_a) - f(x_b)|| / ||x_a - x_b|| per pair, from the (n, 4) rows
+    (x, f(x)): one gather per end of the pairs, then differences and squares
+    in place, so fewer (pairs, k) temporaries, which the allocator keeps
+    resident once freed.  Each norm is the sqrt of its two squares summed in
+    order, as np.linalg.norm(., axis=1) sums them, so the bits are its."""
+    d = rows[a]
+    d -= rows[b]
+    d *= d
+    d0, d1, d2, d3 = d.T
+    return np.sqrt(d2 + d3) / np.sqrt(d0 + d1)
+
+
 def injectivity_probe(
     grid: BasinGrid,
     m: C1Map,
@@ -216,12 +256,7 @@ def injectivity_probe(
     b = rng.integers(len(centers) - 1, size=pairs)
     b += b >= a
 
-    # differences in place: two fewer (pairs, 2) temporaries, which the
-    # allocator keeps resident once freed (2.5 MB after four 1e5-pair probes)
-    dx, df = centers[a], values[a]
-    dx -= centers[b]
-    df -= values[b]
-    ratios = np.linalg.norm(df, axis=1) / np.linalg.norm(dx, axis=1)
+    ratios = _pair_ratios(np.concatenate((centers, values), axis=1), a, b)
     jmin = int(np.argmin(ratios))
     hits = ratios <= SEP_TOL
     collisions = [(centers[i], centers[j]) for i, j in zip(a[hits][:16], b[hits][:16])]

@@ -341,10 +341,19 @@ def integrate(
     # SingularError.
     solve = linalg._solve_raw
     try:
+        jac = m.jac_or_fd(x)
         # FSAL: each accepted step hands its last stage on as k0
-        k0 = tuple(map(float, solve(m.jac_or_fd(x), [-v for v in rl])))
+        k0 = tuple(map(float, solve(jac, [-v for v in rl])))
     except (SingularError, NonFiniteError, OverflowError):
         return finish(FlowStatus.SINGULAR_JACOBIAN, 0)
+    # det f' cannot change sign along an exact trajectory: the field is
+    # undefined where det f' = 0, and the solution ends there.  At n <= 2 a
+    # stage whose det has the seed's opposite sign fails as a singular one
+    # (a zero det already does, in the solve), so a run that meets a fold
+    # ends singular-jacobian instead of zigzagging across it, which the
+    # per-step decay oracle alone allows at loose tolerance.  At n >= 3 the
+    # sign would cost a factorization per stage, and it is not checked.
+    seed_sign = _det_sign(jac.ravel().tolist()) if dim <= 2 else math.nan
 
     # start small; the controller corrects within a few steps
     h = min(1e-2 * (1.0 + _norm(xl)) / (1.0 + _norm(k0)), opts.t_max, 1.0)
@@ -393,6 +402,8 @@ def integrate(
                         d1 += a * q
                     y0, y1 = x0 + sh * d0, x1 + sh * d1
                     f0, f1, a00, a01, a10, a11 = point(y0, y1)
+                    if (a00 * a11 - a01 * a10) * seed_sign < 0.0:
+                        raise SingularError(*linalg._extremes2(a00, a01, a10, a11))
                     r0, r1 = f0 - t0, f1 - t1
                     ks.append(solve2(a00, a01, a10, a11, -r0, -r1))
                 e0 = e1 = 0.0
@@ -409,6 +420,8 @@ def integrate(
                         d0 += a * p
                     y0 = x0 + sh * d0
                     f0, a00 = point(y0)
+                    if a00 * seed_sign < 0.0:
+                        raise SingularError(abs(a00), abs(a00))
                     r0 = f0 - t0
                     ks.append(solve1(a00, -r0))
                 e0 = 0.0
@@ -492,6 +505,25 @@ def _selfdot(v) -> float:
     return s
 
 
+def _det_sign(a) -> float:
+    """sign(det) of a 1x1 or 2x2 matrix given as its entries, Python floats
+    in row order: 1.0, -1.0 or 0.0, and NaN where an entry is not finite.
+    Where a 2x2's det is not a finite normal float, the entries are first
+    scaled by the power of two that brings the largest into [1/2, 1), which
+    is exact, so the products neither overflow nor, unless the matrix is
+    singular, underflow."""
+    d = a[0] if len(a) == 1 else a[0] * a[3] - a[1] * a[2]
+    if _TINY <= abs(d) < math.inf:  # so every entry is finite
+        return math.copysign(1.0, d)
+    if not all(map(math.isfinite, a)):
+        return math.nan
+    if len(a) == 4:
+        e = -math.frexp(max(map(abs, a)))[1]
+        a00, a01, a10, a11 = (math.ldexp(v, e) for v in a)
+        d = a00 * a11 - a01 * a10
+    return float((d > 0.0) - (d < 0.0))
+
+
 def _newton_polish(m: C1Map, x, target,
                    residual_tol: float) -> tuple[np.ndarray, float]:
     """Guarded plain Newton from x, at most _POLISH_STEPS steps: (x, the
@@ -499,16 +531,20 @@ def _newton_polish(m: C1Map, x, target,
     either at least halves it (Deuflhard's monotonicity test Theta <= 1/2: a
     step that contracts less left the region where Newton converges fast and
     may head for another preimage) or lands within ``residual_tol``, where it
-    only polishes rounding.  The first step not kept ends the polish; an
-    overflowed norm (inf) is no decrease, and neither is a step to a
-    non-finite x.  A map with a point form runs on floats, with the same
-    values and errors as through eval, jacobian and solve_dense."""
+    only polishes rounding.  At n <= 2 it must also not land where det f'
+    has the opposite sign of det f' at x: that is another sheet of a fold,
+    which Theta <= 1/2 alone does not always reject.  The first step not
+    kept ends the polish; an overflowed norm (inf) is no decrease, and
+    neither is a step to a non-finite x.  A map with a point form runs on
+    floats, with the same values and errors as through eval, jacobian and
+    solve_dense."""
     target = as_vector(target, m.dim)
     x = as_vector(x, m.dim)
     newton = (_FloatNewton(m, target, x) if m.point is not None and m.dim <= 2
               else _ArrayNewton(m, target, x))
     x = newton.x0
     r, best = newton.residual(x)
+    seed_sign = newton.det_sign()
     for _ in range(_POLISH_STEPS):
         if best == 0.0:
             break
@@ -521,23 +557,42 @@ def _newton_polish(m: C1Map, x, target,
             break
         if not (n_try < best and (n_try <= 0.5 * best or n_try <= residual_tol)):
             break
+        if newton.det_sign() * seed_sign < 0.0:
+            break
         x, r, best = x_try, r_try, n_try
     return np.array(x), best
 
 
 class _ArrayNewton:
     """The polish's residual and Newton step through eval, jacobian and
-    solve_dense."""
+    solve_dense.  f' at the last residual's point is evaluated once, when
+    its sign or the step from there first needs it."""
 
     def __init__(self, m: C1Map, target: np.ndarray, x: np.ndarray):
         self.m, self.target, self.x0 = m, target, x
 
     def residual(self, x):
+        self.x, self.jac = x, None
         r = self.m.eval(x) - self.target
         return r, _norm(r.tolist())
 
+    def det_sign(self):
+        """sign(det f') at the last residual's point; NaN at n >= 3 and
+        where f' raises."""
+        if self.m.dim > 2:
+            return math.nan
+        try:
+            return _det_sign(self._jacobian().ravel().tolist())
+        except SAMPLE_ERRORS:
+            return math.nan
+
     def step(self, x, r):
-        return x - linalg.solve_dense(self.m.jacobian(x), r)
+        return x - linalg.solve_dense(self._jacobian(), r)
+
+    def _jacobian(self):
+        if self.jac is None:
+            self.jac = self.m.jacobian(self.x)
+        return self.jac
 
 
 class _FloatNewton:
@@ -565,6 +620,11 @@ class _FloatNewton:
                 raise NonFiniteError(self.m.name, x)
             r = [a - b for a, b in zip(f, self.tl)]
         return r, _norm(r)
+
+    def det_sign(self):
+        """sign(det f') at the last residual's point; NaN where the point
+        form raised."""
+        return math.nan if self.jac is None else _det_sign(self.jac)
 
     def step(self, x, r):
         if self.jac is None or not all(map(math.isfinite, self.jac)):

@@ -1,9 +1,11 @@
+import concurrent.futures
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from newtonflow import basin
 from newtonflow.basin import (
     SCAN_OPTIONS,
     export_grid,
@@ -199,14 +201,38 @@ def test_cells_whose_residual_norm_overflows_are_quiet():
             assert grid.final_residual[i, j] == pytest.approx(math.exp(-40.0) * r0, rel=1e-6)
 
 
-def test_scan_deterministic_across_worker_counts():
-    g1 = scan_basin(ZAMP, (0.0, 0.0), (-3, 3, -3, 3), 11, workers=1)
-    g2 = scan_basin(ZAMP, (0.0, 0.0), (-3, 3, -3, 3), 11, workers=2)
+def test_scan_deterministic_across_worker_counts(monkeypatch):
+    # the smallest square grid that takes the pool at workers=2
+    res = math.isqrt(basin._POOL_MIN_CELLS - 1) + 1
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    g1 = scan_basin(ZAMP, (0.0, 0.0), (-3, 3, -3, 3), res, workers=1)
+    assert pools == []
+    g2 = scan_basin(ZAMP, (0.0, 0.0), (-3, 3, -3, 3), res, workers=2)
+    assert pools == [{"max_workers": 2}]
     np.testing.assert_array_equal(g1.t_conv, g2.t_conv)
     np.testing.assert_array_equal(g1.final_residual, g2.final_residual)
     assert all(
-        g1.status[i, j] is g2.status[i, j] for i in range(11) for j in range(11)
+        g1.status[i, j] is g2.status[i, j] for i in range(res) for j in range(res)
     )
+
+
+def test_scan_below_the_pool_cut_off_runs_in_process(monkeypatch):
+    # workers is an upper bound: a grid under _POOL_MIN_CELLS forks nothing
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the scan started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    res = math.isqrt(basin._POOL_MIN_CELLS - 1)
+    assert res * res < basin._POOL_MIN_CELLS
+    grid = scan_basin(ZAMP, (0.0, 0.0), (-3, 3, -3, 3), res, workers=2)
+    assert grid.status_counts() == {"converged": res * res}
 
 
 def test_converged_cells_reproduce_under_rerun():
@@ -267,6 +293,46 @@ def test_injectivity_probe_row_form_is_the_point_loop():
     got = [injectivity_probe(grid, m, pairs=5000, seed=2).to_json_dict()
            for m in (ZAMP, pointwise)]
     assert got[0] == got[1]
+
+
+def _probe_pairs(seed):
+    """(rows, a, b): (x, f) rows of every magnitude the probe's pairs can
+    meet, ordinary, huge (whose squares overflow) and tiny (whose squares
+    underflow or go subnormal), and pairs (a[i], b[i]) of distinct rows,
+    random ones and ones with equal images, equal centers or both."""
+    rng = np.random.default_rng(seed)
+    n = 3000
+    # one exponent for x and one for f in each row
+    shape = (n, 2)
+    exponent = np.where(rng.random(shape) < 0.6, rng.uniform(-3.0, 3.0, shape),
+                        np.where(rng.random(shape) < 0.5, rng.uniform(150.0, 305.0, shape),
+                                 rng.uniform(-320.0, -150.0, shape)))
+    rows = rng.standard_normal((n, 4)) * 10.0 ** np.repeat(exponent, 2, axis=1)
+    rows[1::12, 2:] = rows[0::12, 2:][:len(rows[1::12])]   # equal images
+    rows[3::12, :2] = rows[2::12, :2][:len(rows[3::12])]   # equal centers
+    rows[5::12] = rows[4::12][:len(rows[5::12])]           # both
+    a = rng.integers(n, size=20000)
+    b = rng.integers(n - 1, size=20000)
+    b += b >= a
+    linked = np.arange(0, n - 5, 12)
+    a = np.concatenate((a, linked, linked + 2, linked + 4))
+    b = np.concatenate((b, linked + 1, linked + 3, linked + 5))
+    return rows, a, b
+
+
+def test_probe_ratio_is_the_norm_ratio_bit_for_bit():
+    # injectivity_probe's pair ratios against the norm ratio they replaced
+    for seed in range(4):
+        rows, a, b = _probe_pairs(seed)
+        with np.errstate(all="ignore"):
+            dx = rows[a, :2] - rows[b, :2]
+            df = rows[a, 2:] - rows[b, 2:]
+            want = np.linalg.norm(df, axis=1) / np.linalg.norm(dx, axis=1)
+            got = basin._pair_ratios(rows, a, b)
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(want).any() and (want == 0.0).any() and np.isnan(want).any()
+        assert ((want > 0.0) & (want < 1e-100)).any()
+        assert ((want > 1e100) & (want < math.inf)).any()
 
 
 def test_injectivity_probe_linear_ratio_bound():

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from test_basin import COMPLEX_EXP, CUBE, FOLD
 
+from newtonflow import flow
+
 from newtonflow.flow import (
     FIELD_BLOCK,
     SAMPLE_ERRORS,
@@ -742,7 +744,9 @@ def test_newton_polish_keeps_a_step_that_halves_or_lands(slope, x0, kept):
     for _ in range(kept):
         want -= want / slope
     assert x.tolist() == [want] and rnorm == abs(want)
-    assert len(calls) == min(kept + 1, 8)
+    # f' at x0, and at each kept step's landing for the det-sign test, which
+    # the step from there reuses; a refused step's landing is not evaluated
+    assert len(calls) == kept + 1
 
 
 def test_trajectory_csv_and_summary(tmp_path):
@@ -796,6 +800,73 @@ def test_singular_seed_is_a_status_not_an_exception():
     traj = integrate(m, (0.0, 0.5), (2.0, 0.0), FlowOptions())
     assert traj.status is FlowStatus.SINGULAR_JACOBIAN
     assert traj.steps == 0
+
+
+def test_a_fold_ends_the_flow_where_det_would_change_sign():
+    # FOLD's det f' = 2 x changes sign on x = 0.  Toward (0.5, 0.3), which
+    # has no preimage, the exact flow from (0.5, 0) reaches x = 0 at
+    # t = ln 1.5 and cannot go on.  Without the det-sign rule the path
+    # tolerance let DP5 zigzag across x = 0 for its whole step budget
+    # (about 61 600 steps, stopping at t = 2.07).
+    for tol in (1e-4, 1e-10):
+        traj = integrate(FOLD, (0.5, 0.0), (0.5, 0.3), FlowOptions(tol=tol))
+        assert traj.status is FlowStatus.SINGULAR_JACOBIAN
+        assert traj.steps <= 100
+        assert abs(traj.t_final - math.log(1.5)) <= 1e-3
+        assert (traj.states[:, 0] > 0.0).all()
+
+
+@pytest.mark.parametrize("target", [(0.5, 0.3), (0.9, 0.0)])
+def test_solve_inverse_fails_fast_at_a_fold(monkeypatch, target):
+    # both targets lie outside FOLD's image; every run of the approach leg
+    # and the full flow stops at x = 0
+    steps = []
+
+    def counted(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        steps.append(traj.steps)
+        return traj
+
+    monkeypatch.setattr(flow, "integrate", counted)
+    with pytest.raises(FlowFailure):
+        solve_inverse(FOLD, target, (0.5, 0.0))
+    assert 0 < sum(steps) <= 1000
+
+
+@pytest.mark.parametrize("entries, sign", [
+    ((2.0,), 1.0), ((-5e-324,), -1.0), ((0.0,), 0.0), ((math.nan,), math.nan),
+    ((4.0, 3.0, 2.0, 1.0), -1.0),
+    # products that overflow or underflow: the sign of the scaled det
+    ((1e200, 1e200, 1e200, -1e200), -1.0), ((1e300, 2e300, 1e300, 1e300), -1.0),
+    ((-1e-170, 0.0, 0.0, 1e-170), -1.0), ((1e200, 1e200, 1e200, 1e200), 0.0),
+    ((math.inf, 0.0, 0.0, 1.0), math.nan), ((1.0, math.nan, 0.0, 1.0), math.nan),
+])
+def test_det_sign(entries, sign):
+    got = flow._det_sign(entries)
+    assert got == sign or (math.isnan(got) and math.isnan(sign))
+
+
+def _cubic_fold_point(x, ops=FLOAT_OPS):
+    return x * x * x - 3.0 * x, 3.0 * x * x - 3.0
+
+
+# f(x) = x^3 - 3x: det f' = 3x^2 - 3 changes sign at x = +-1
+CUBIC_FOLD = C1Map("cubic-fold", 1, lambda x: np.array(_cubic_fold_point(x[0])[:1]),
+                   lambda x: np.array(((_cubic_fold_point(x[0])[1],),)),
+                   point=_cubic_fold_point)
+
+
+@pytest.mark.parametrize("m", [CUBIC_FOLD, dataclasses.replace(CUBIC_FOLD, point=None)],
+                         ids=["floats", "arrays"])
+def test_newton_polish_refuses_a_step_onto_the_other_sheet(m):
+    # from 0.51 (f' < 0) toward 2 = f(-1) = f(2), Newton steps to -1.02,
+    # where f' > 0: the residual falls to 4e-4 of its size, so Theta <= 1/2
+    # would keep the step, but it crossed the fold at x = -1
+    x, rnorm = _newton_polish(m, (0.51,), (2.0,), 1e-9)
+    assert x.tolist() == [0.51] and rnorm == abs(_cubic_fold_point(0.51)[0] - 2.0)
+    # on the sheet f' > 0 the polish goes on to the preimage 2
+    x, rnorm = _newton_polish(m, (2.1,), (2.0,), 1e-9)
+    assert abs(x[0] - 2.0) <= 1e-12 and rnorm <= 1e-9
 
 
 def test_unreachable_target_stops_at_the_singularity_rule():

@@ -105,7 +105,8 @@ COMMANDS = [
     _S + ["exp1d", "--target", "-1", "--start", "0"],
     _S + ["rot-poly2d", "--eps", "0.3", "--target", "1,2", "--start", "0,0"],
     _S + ["linear", "--A", "2,1,0,3", "--target", "1,2", "--start", "0,0"],
-    # pooled basin scans: the maps travel to the workers by pickle
+    # basin scans with --workers 2; at 9x9 they run in process, below
+    # basin._POOL_MIN_CELLS (test_maps pins that maps survive pickling)
     _B + ["rot-poly2d", "--x0", "0,0"],
     _B + ["linear", "--A", "2,1,0,3", "--x0", "0,0"],
     ["list-maps"],

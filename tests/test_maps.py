@@ -193,15 +193,21 @@ def test_perturbed_jacobian_hook():
 
 
 def test_maps_survive_pickle_round_trip():
-    # basin scans ship maps to worker processes by pickle
+    # pooled basin scans ship maps to worker processes by pickle, and the
+    # golden basin lines are too small to take the pool: this is the test
     maps = _registry_instances() + [
+        builtin("linear", a=np.array([[2.0, 1.0], [0.0, 3.0]])),
         builtin("rot-poly2d", eps=0.3),
         builtin("zampieri-ex5").with_perturbed_jacobian(1e-3),
+        builtin("rot-poly2d", eps=0.3).with_perturbed_jacobian(1e-3),
+        builtin("linear", a=np.array([[2.0, 1.0], [0.0, 3.0]])).with_perturbed_jacobian(1e-3),
     ]
     for m in maps:
         back = pickle.loads(pickle.dumps(m))
         x = np.linspace(0.3, 0.7, m.dim)
         assert back.name == m.name
+        want = np.array(m.float_point(*x.tolist()))
+        assert np.array(back.float_point(*x.tolist())).tobytes() == want.tobytes()
         assert back.eval(x).tobytes() == m.eval(x).tobytes()
         assert back.jacobian(x).tobytes() == m.jacobian(x).tobytes()
         assert (back.point is None) == (m.point is None)
@@ -210,6 +216,16 @@ def test_maps_survive_pickle_round_trip():
         if m.point is not None and m.dim == 2:
             for got, want in zip(back.rows(x[None]), m.rows(x[None])):
                 assert got.tobytes() == want.tobytes()
+
+
+def test_non_finite_error_survives_pickle_round_trip():
+    # a worker's NonFiniteError reaches the scanning process rebuilt from
+    # (name, x), with the same message
+    exc = NonFiniteError("zampieri-ex5", (800.0, -3.5))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is NonFiniteError
+    assert back.name == exc.name and back.x.tobytes() == exc.x.tobytes()
+    assert str(back) == str(exc)
 
 
 # edges of the exponential's argument: non-finite, signed zero, the clip

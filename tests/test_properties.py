@@ -116,3 +116,31 @@ def test_backward_flow_returns_to_the_start(problem):
     assert back.status is FlowStatus.HORIZON_REACHED
     assert back.t[-1] == pytest.approx(-horizon, rel=1e-12)
     assert np.linalg.norm(back.states[-1] - x0) <= 1e-7 * (1.0 + np.linalg.norm(x0))
+
+
+def _fold_like(a, b, with_point):
+    """(x^2 + a, y + b x), det f' = 2x: a fold along x = 0, through a point
+    form or through fn and jac only."""
+    def point(x, y, ops=None):
+        return x * x + a, y + b * x, 2.0 * x, 0.0, b, 1.0
+
+    def fn(v):
+        return np.array(point(*v)[:2])
+
+    def jac(v):
+        return np.reshape(point(*v)[2:], (2, 2))
+
+    return C1Map("fold-like", 2, fn, jac, point=point if with_point else None)
+
+
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.booleans(), _POINT, _POINT,
+       st.sampled_from((1e-4, 1e-6, 1e-10)), st.sampled_from(Direction))
+def test_det_sign_is_kept_along_every_trajectory(a, b, with_point, start, target, tol,
+                                                  direction):
+    # det f' cannot change sign along an exact trajectory, so no sample may
+    # cross the fold x = 0 from the seed's side, at any tolerance
+    assume(start[0] != 0.0)
+    m = _fold_like(a, b, with_point)
+    traj = integrate(m, start, target, FlowOptions(tol=tol, max_steps=_MAX_STEPS),
+                     direction)
+    assert (np.sign(traj.states[:, 0]) == np.sign(start[0])).all()
