@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import SingularError, as_vector
-from .maps import C1Map, DomainError, NonFiniteError
+from .maps import C1Map, DomainError, NonFiniteError, _exp_rows
 
 # Failures of one field evaluation that a sampled check skips (or scores)
 # and goes on from; anything else propagates.
@@ -106,12 +106,14 @@ class Trajectory:
     @np.errstate(over="ignore", invalid="ignore")
     def drift_profile(self) -> np.ndarray:
         """Per-sample deviation ||r(t) - e^{-t} r(0)|| / ||r(0)||, from
-        _norm: a residual whose square overflows still gives a finite drift."""
+        _norm: a residual whose square overflows still gives a finite drift.
+        e^{-t} is math.exp's, as in integrate's decay oracle: np.exp's last
+        bit depends on the SIMD loop numpy dispatches to."""
         r0 = self.residuals[0]
         n0 = _norm(r0.tolist())
         if n0 == 0.0:
             return np.zeros(len(self.t))
-        pred = np.exp(-self.t)[:, None] * r0[None, :]
+        pred = _exp_rows(-self.t)[:, None] * r0[None, :]
         return _row_norms(self.residuals - pred) / n0
 
     def summary(self) -> dict:
@@ -535,14 +537,11 @@ def _newton_polish(m: C1Map, x, target,
     has the opposite sign of det f' at x: that is another sheet of a fold,
     which Theta <= 1/2 alone does not always reject.  The first step not
     kept ends the polish; an overflowed norm (inf) is no decrease, and
-    neither is a step to a non-finite x.  A map with a point form runs on
-    floats, with the same values and errors as through eval, jacobian and
-    solve_dense."""
-    target = as_vector(target, m.dim)
-    x = as_vector(x, m.dim)
-    newton = (_FloatNewton(m, target, x) if m.point is not None and m.dim <= 2
-              else _ArrayNewton(m, target, x))
-    x = newton.x0
+    neither is a step to a non-finite x.  Every map in every dimension runs
+    on lists of floats through _FloatNewton, with the values and errors of
+    eval, jacobian and solve_dense."""
+    newton = _FloatNewton(m, target)
+    x = as_vector(x, m.dim).tolist()
     r, best = newton.residual(x)
     seed_sign = newton.det_sign()
     for _ in range(_POLISH_STEPS):
@@ -563,75 +562,63 @@ def _newton_polish(m: C1Map, x, target,
     return np.array(x), best
 
 
-class _ArrayNewton:
-    """The polish's residual and Newton step through eval, jacobian and
-    solve_dense.  f' at the last residual's point is evaluated once, when
-    its sign or the step from there first needs it."""
+class _FloatNewton:
+    """The polish's residual and Newton step on lists of floats.  Where the
+    map has a point form, f and f' at a point come from one point call.
+    Otherwise, or where the point form raises OverflowError, f comes from
+    eval, and f' from jacobian when the det-sign test or the step from that
+    point first needs it, so a refused landing costs no f'.  The solve is
+    _solve1 or _solve2 at n <= 2 and _solve_raw at n >= 3."""
 
-    def __init__(self, m: C1Map, target: np.ndarray, x: np.ndarray):
-        self.m, self.target, self.x0 = m, target, x
+    def __init__(self, m: C1Map, target):
+        self.m, self.n = m, m.dim
+        self.tl = as_vector(target, m.dim).tolist()
 
     def residual(self, x):
+        """(f(x) - y*, its norm); f' at x too where the point form gives it."""
         self.x, self.jac = x, None
-        r = self.m.eval(x) - self.target
-        return r, _norm(r.tolist())
+        f = None
+        if self.m.point is not None:
+            try:
+                values = self.m.point(*x)
+            except OverflowError:
+                pass
+            else:
+                f, self.jac = values[:self.n], values[self.n:]
+                if not all(map(math.isfinite, f)):
+                    raise NonFiniteError(self.m.name, x)
+        if f is None:
+            f = self.m.eval(np.array(x)).tolist()
+        r = [a - b for a, b in zip(f, self.tl)]
+        return r, _norm(r)
 
     def det_sign(self):
         """sign(det f') at the last residual's point; NaN at n >= 3 and
-        where f' raises."""
-        if self.m.dim > 2:
+        where f' raises or is not finite."""
+        if self.n > 2:
             return math.nan
         try:
-            return _det_sign(self._jacobian().ravel().tolist())
+            return _det_sign(self._jacobian())
         except SAMPLE_ERRORS:
             return math.nan
 
     def step(self, x, r):
-        return x - linalg.solve_dense(self._jacobian(), r)
-
-    def _jacobian(self):
-        if self.jac is None:
-            self.jac = self.m.jacobian(self.x)
-        return self.jac
-
-
-class _FloatNewton:
-    """The same on lists of floats, from one point call per residual: f' at
-    that point is kept for the step from it.  Where the point form raises
-    OverflowError, eval decides whether f raises; if it does not, f' does,
-    and the step from there raises NonFiniteError, as jacobian would."""
-
-    def __init__(self, m: C1Map, target: np.ndarray, x: np.ndarray):
-        self.m, self.target, self.x0 = m, target, x.tolist()
-        self.tl = target.tolist()
-        self.solve = linalg._solve1 if m.dim == 1 else linalg._solve2
-        self.jac = None
-
-    def residual(self, x):
-        n = len(x)
-        try:
-            values = self.m.point(*x)
-        except OverflowError:
-            self.jac = None
-            r = (self.m.eval(np.array(x)) - self.target).tolist()
-        else:
-            f, self.jac = values[:n], values[n:]
-            if not all(map(math.isfinite, f)):
-                raise NonFiniteError(self.m.name, x)
-            r = [a - b for a, b in zip(f, self.tl)]
-        return r, _norm(r)
-
-    def det_sign(self):
-        """sign(det f') at the last residual's point; NaN where the point
-        form raised."""
-        return math.nan if self.jac is None else _det_sign(self.jac)
-
-    def step(self, x, r):
-        if self.jac is None or not all(map(math.isfinite, self.jac)):
-            raise NonFiniteError(self.m.name, x)
+        jac = self._jacobian()
+        if not all(map(math.isfinite, jac)):
+            raise NonFiniteError(self.m.name, x)  # as jacobian would
         if not all(map(math.isfinite, r)):
             as_vector(r)  # solve_dense's ValueError
-        return [a - s for a, s in zip(x, self.solve(*self.jac, *r))]
+        if self.n > 2:
+            d = linalg._solve_raw(np.reshape(jac, (self.n, self.n)), r).tolist()
+        else:
+            d = (linalg._solve1 if self.n == 1 else linalg._solve2)(*jac, *r)
+        return [a - s for a, s in zip(x, d)]
+
+    def _jacobian(self):
+        """f' at the last residual's point as n^2 floats, evaluated once."""
+        if self.jac is None:
+            self.jac = self.m.jacobian(np.array(self.x)).ravel().tolist()
+        return self.jac
 
 
 def _norm(r) -> float:

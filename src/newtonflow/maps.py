@@ -93,7 +93,9 @@ class C1Map:
     ``point(x, ops=FLOAT_OPS)`` returns (f0, a00) at n = 1, and
     ``point(xi, eta, ops=FLOAT_OPS)`` returns (f0, f1, a00, a01, a10, a11) at
     n = 2.  On floats it equals ``fn`` and ``jac`` bit for bit and raises
-    where they raise; the Newton polish steps with it.  A planar one with
+    where they raise; the Newton polish takes f and f' from one call to it
+    per point (a map without one, f from ``eval`` and f' from ``jacobian``
+    only where a step needs it).  A planar one with
     ROW_OPS on a block's columns gives ``rows`` and ``eval_rows``.  A map
     whose ``fn`` or ``jac`` is replaced must replace or drop it.
 

@@ -648,13 +648,28 @@ def test_drift_is_scale_free_where_the_residual_norm_overflows():
     # ||r(0)||^2 overflows, so dividing by ||r(0)|| would read every finite
     # deviation as 0 and an overflowing one as NaN: the profile must be that
     # of the same run with its residuals scaled by 2^-600, where no square
-    # overflows
-    traj = _overflowing_run()
+    # overflows.  The run's drift is integration error at a loose tolerance
+    # (1.55e-6 over its 33 steps); _overflowing_run's is exactly 0.
+    opts = FlowOptions(tol=1e-4, blowup_radius=1e300)
+    traj = integrate(builtin("rot-poly2d"), (3e102, 1e102), (0.0, 0.0), opts)
+    assert traj.status is FlowStatus.HORIZON_REACHED and traj.steps == 33
     scaled = dataclasses.replace(traj, residuals=np.ldexp(traj.residuals, -600))
     profile = traj.drift_profile()
     assert np.isfinite(profile).all() and profile.max() > 0.0
     assert profile.tobytes() == scaled.drift_profile().tobytes()
     assert direction_deviation(traj) == direction_deviation(scaled)
+
+
+def test_drift_profile_decays_by_math_exp():
+    # e^{-t} is math.exp's, the decay oracle's, per sample; np.exp differs
+    # from it in the last bit on some inputs, which ones depending on the
+    # SIMD loop numpy dispatches to (under AVX-512 it moved 8 of these 232
+    # samples)
+    traj = integrate(ZAMP, (1.0, 1.0), F_ORIGIN, FlowOptions())
+    r = traj.residuals.tolist()
+    want = [flow._norm([a - math.exp(-t) * b for a, b in zip(ri, r[0])]) / flow._norm(r[0])
+            for t, ri in zip(traj.t.tolist(), r)]
+    assert len(want) == 232 and traj.drift_profile().tolist() == want
 
 
 def test_a_start_whose_squared_norm_overflows_flows_to_the_horizon():
@@ -747,6 +762,65 @@ def test_newton_polish_keeps_a_step_that_halves_or_lands(slope, x0, kept):
     # f' at x0, and at each kept step's landing for the det-sign test, which
     # the step from there reuses; a refused step's landing is not evaluated
     assert len(calls) == kept + 1
+
+
+_ROLL = np.roll(np.eye(3), 1, axis=0)  # _ROLL @ x == np.roll(x, 1)
+
+
+# products, not x**3: numpy's power loop moves the last bit with the SIMD
+# target it dispatches to
+def _cubic_roll_fn(x):
+    return x + 0.1 * (x * x * x) + 0.2 * np.roll(x, 1)
+
+
+def _cubic_roll_jac(x):
+    return np.diag(1.0 + 0.3 * (x * x)) + 0.2 * _ROLL
+
+
+def test_polish_without_a_point_form_and_at_n3_is_pinned():
+    # bit-exact solve_inverse answers and _newton_polish outcomes (x and its
+    # residual norm, or the exception's type and message) on maps the
+    # point-form pins do not reach: 3x3 maps and maps without a point form,
+    # whose polish takes f from fn and f' from jac or finite differences.
+    # Recorded before the polish ran on floats for every map.  The n = 3
+    # solves and stage sums go through LAPACK and BLAS, so this pin is not
+    # in test_golden's _KERNEL_FREE_PINS.
+    maps = [builtin("linear", a=[[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]]),
+            builtin("linear", a=[[1.0, 0.5, 0.2], [-0.3, 1.0, 0.1], [0.2, -0.4, 1.5]]),
+            C1Map("cubic-roll", 3, _cubic_roll_fn, _cubic_roll_jac),
+            C1Map("cubic-roll-fd", 3, _cubic_roll_fn),
+            C1Map("zampieri-ex5-fn", 2, ZAMP.fn)]
+    opts = FlowOptions(max_steps=4000)
+    rng = np.random.default_rng(47)
+    digest = hashlib.sha256()
+    outcomes, polishes = {}, []
+    for m in maps:
+        for i, (start, y) in enumerate(rng.uniform(-2.0, 2.0, (8, 2, m.dim))):
+            target = m.eval(y) if i % 2 else y
+            try:
+                digest.update(solve_inverse(m, target, start, opts).tobytes())
+                outcome = "solved"
+            except FlowFailure as exc:
+                traj = exc.trajectory
+                digest.update(f"{exc.status.value} {traj.steps};".encode())
+                for a in (traj.t, traj.states, traj.residuals):
+                    digest.update(a.tobytes())
+                outcome = exc.status.value
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        # a third of the polishes start near a preimage, a third anywhere,
+        # and a third aim at a target drawn like the starts
+        for i, (x, y) in enumerate(rng.uniform(-2.0, 2.0, (12, 2, m.dim))):
+            target = y if i % 3 == 2 else m.eval(y)
+            x = y + 1e-2 * x if i % 3 == 0 else 2.0 * x
+            polishes.append(_polish_outcome(m, x, target))
+    # starts where f overflows, where f and f' underflow, and where the
+    # Newton step leaves the range in which f is finite
+    edges = ((710.0, 0.0), (-700.0, 1e200), (3.0, -2.0), (-30.0, 0.5))
+    polishes += [_polish_outcome(maps[-1], x, (1.5, -0.2)) for x in edges]
+    digest.update(repr(polishes).encode())
+    assert outcomes == {"solved": 37, "singular-jacobian": 3}
+    assert sum(isinstance(r, float) and r <= 1e-9 for _, r in polishes) == 54  # of 64
+    assert digest.hexdigest() == "c1107323f65c5ecd23717876199918f8c9fb6e2841079df2c2a1d361c54e203d"
 
 
 def test_trajectory_csv_and_summary(tmp_path):

@@ -180,19 +180,46 @@ _KERNEL_FREE_PINS = [
 ]
 
 
-def test_flow_pins_hold_on_another_blas_kernel():
+def _pass_in_child(tests, passed, **env):
+    """Run ``tests`` in a child pytest with ``env`` added to the environment:
+    all must pass, ``passed`` of them (a parametrized test counts each case)."""
     import newtonflow
 
-    here = Path(__file__).parent
-    solves = [f"test_golden.py::test_seeded_output_matches_golden[{' '.join(r['argv'])}]"
-              for r in _recorded() if r["argv"][0] == "solve"]
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
-               PYTHONPATH=str(Path(newtonflow.__file__).parents[1]))
+    env = dict(os.environ, **env, PYTHONPATH=str(Path(newtonflow.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          *_KERNEL_FREE_PINS, *solves], cwd=here, env=env,
+                          *tests], cwd=Path(__file__).parent, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout[-4000:]
-    assert re.search(rf"\b{len(solves) + 15} passed\b", run.stdout), run.stdout[-4000:]
+    assert re.search(rf"\b{passed} passed\b", run.stdout), run.stdout[-4000:]
+
+
+def _solve_lines():
+    return [f"test_golden.py::test_seeded_output_matches_golden[{' '.join(r['argv'])}]"
+            for r in _recorded() if r["argv"][0] == "solve"]
+
+
+def test_flow_pins_hold_on_another_blas_kernel():
+    solves = _solve_lines()
+    _pass_in_child([*_KERNEL_FREE_PINS, *solves], len(solves) + 15,
+                   OPENBLAS_CORETYPE="Prescott")
+
+
+# numpy runs its ufuncs through the SIMD loops of the best CPU features it
+# finds, and np.exp's AVX-512 and AVX2 loops differ in the last bit.  A child
+# interpreter runs the same pins, the drift tests (whose e^{-t} is math.exp's)
+# and the `solve` lines with numpy's AVX-512 targets disabled, so an AVX-512
+# machine takes the AVX2 loops.  The names are the dispatch targets of
+# numpy 2.4's x86-64 build.
+_DRIFT_TESTS = [
+    "test_flow.py::test_drift_is_scale_free_where_the_residual_norm_overflows",
+    "test_flow.py::test_drift_profile_decays_by_math_exp",
+]
+
+
+def test_flow_pins_hold_under_another_simd_dispatch():
+    solves = _solve_lines()
+    _pass_in_child([*_KERNEL_FREE_PINS, *_DRIFT_TESTS, *solves], len(solves) + 17,
+                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
 
 
 def test_golden_file_lists_every_command():

@@ -32,9 +32,12 @@ def _small_inputs(workload):
 @pytest.mark.parametrize("workload", ["basin-scan", "solve-batch", "verify-ex5"])
 def test_traced_workload_runs(workload, tmp_path):
     # the traced benchmark run on a small input: it reads the integrate
-    # spans' step counts (and runs the basin scan through the pool and
-    # serially), so a change that stops calling integrate or breaks either
-    # scan path fails here before the benchmark does
+    # spans' step counts, so a change that stops calling integrate fails here
+    # before the benchmark does.  Its 5x5 basin scan (25 cells, below
+    # basin._POOL_MIN_CELLS) runs in process each time the worker runs it,
+    # at workers=2 and at workers=1; test_basin's
+    # test_scan_deterministic_across_worker_counts and test_acceptance's test_09
+    # cover the pool
     inputs_path = tmp_path / "inputs.json"
     inputs_path.write_text(json.dumps(_small_inputs(workload)))
     work = tmp_path / "work"
